@@ -178,8 +178,11 @@ let calibration_loop () =
   now () -. t
 
 (* The loop's mean time, run on [domains] domains at once: work spread over
-   two CPUs is slowed by a neighbour on either. *)
+   two CPUs is slowed by a neighbour on either. The program's state (solver
+   caches and incremental contexts, interning, telemetry) is cleared first,
+   so the loop runs beside the same heap whatever the last call left. *)
 let calibration ~domains =
+  Solver.reset_all_for_tests ();
   Gc.compact ();
   let others = List.init (domains - 1) (fun _ -> Domain.spawn calibration_loop) in
   let mine = calibration_loop () in
@@ -270,8 +273,8 @@ let check_report what (r : Search.report) =
   check (problems = []) "%s: %s" what (String.concat ", " problems)
 
 (* One analysis through the user's entry point, untraced: its report and
-   timings. *)
-let analyze ~what domains =
+   timings. The caller checks the report. *)
+let run_analysis ~what domains =
   fresh_state ();
   let clients = Fsp_model.clients () in
   let gc0 = Gc.quick_stat () in
@@ -282,11 +285,15 @@ let analyze ~what domains =
   in
   let t1 = now () in
   let gc1 = Gc.quick_stat () in
-  check_report what a.Achilles.report;
   note "%s: %.3f s" what (t1 -. t0);
   ( a.Achilles.report,
     measured ~t0 ~t1 ~gc0 ~gc1
       ~queries:(Solver.aggregate_stats ()).Solver.queries a.Achilles.report )
+
+let analyze ~what domains =
+  let report, a = run_analysis ~what domains in
+  check_report what report;
+  (report, a)
 
 (* --- tracing: Obs events kept in memory, the benchmark's own spans -------------- *)
 
@@ -624,11 +631,12 @@ let kill_live_daemons () =
     !live_daemons;
   live_daemons := []
 
-(* While serving, the daemon and this process (the client) share CPU 0 when
-   taskset is installed: a round trip is then two context switches on one
-   core, not two cross-CPU wakeups, whose cost on a VM swings with the host's
-   scheduling and is not slowed by the neighbours the way the calibration
-   loop is. *)
+(* While serving, the daemon and this process (the client) share CPU 0: a
+   round trip is then two context switches on one core, not two cross-CPU
+   wakeups, whose cost on a VM swings with the host's scheduling and is not
+   slowed by the neighbours the way the calibration loop is. Unpinned
+   serving is another regime whose numbers cannot be compared with these,
+   so a run that cannot pin (no taskset) fails rather than serve unpinned. *)
 let taskset args =
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
   Fun.protect
@@ -640,11 +648,9 @@ let taskset args =
       | pid -> snd (Unix.waitpid [] pid) = Unix.WEXITED 0
       | exception Unix.Unix_error _ -> false)
 
-let pinning = lazy (taskset [ "-V" ])
-
 let pin_client () =
-  if Lazy.force pinning then
-    ignore (taskset [ "-a"; "-p"; "-c"; "0"; string_of_int (Unix.getpid ()) ])
+  if not (taskset [ "-a"; "-p"; "-c"; "0"; string_of_int (Unix.getpid ()) ]) then
+    failwith "taskset could not pin the client to CPU 0"
 
 (* One socket per daemon: a daemon unlinks its socket when it stops. *)
 let daemons_started = ref 0
@@ -662,10 +668,7 @@ let start_daemon () =
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   let serve = [ !achilles; "serve"; filter_path (); "--socket"; sock ] in
-  let argv =
-    if Lazy.force pinning then "taskset" :: "-c" :: "0" :: serve
-    else serve
-  in
+  let argv = "taskset" :: "-c" :: "0" :: serve in
   let pid =
     Unix.create_process (List.hd argv) (Array.of_list argv) null out_w Unix.stderr
   in
@@ -1089,7 +1092,8 @@ let serve_workload () =
   let s = !seconds in
   (* set-up, repeated: the analysis, Filter.compile, and the daemon's socket
      accepting; each daemon stops before the next set-up starts and the last
-     one serves the load. Traced runs alternate untraced and traced set-ups. *)
+     one serves the load. The benchmark checks the report after the set-up
+     is timed. Traced runs alternate untraced and traced set-ups. *)
   let current = ref None in
   let setups =
     calibrated ~min:(if !traced then 4 else 3) ~budget:(0.45 *. s) (fun k ->
@@ -1102,12 +1106,13 @@ let serve_workload () =
             (report, a, Some l)
           end
           else
-            let report, a = analyze ~what 1 in
+            let report, a = run_analysis ~what 1 in
             (report, a, None)
         in
         let filter = compile_filter report in
         let d = start_daemon () in
         let setup_s = now () -. a.t0 in
+        if layers = None then check_report what report;
         current := Some (report, filter, d);
         let layers =
           Option.map

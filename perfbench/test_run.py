@@ -120,7 +120,7 @@ class Baseline(unittest.TestCase):
     def test_every_workload_ten_correct_runs(self):
         for w in self.spec["workloads"]:
             runs = self.rec["runs"][w["name"]]
-            self.assertGreaterEqual(len(runs), 10)
+            self.assertEqual(len(runs), run.RUNS)
             for r in runs:
                 self.assertTrue(r["result"]["correct"])
                 self.assertEqual(r["result"]["failed"], 0)
@@ -129,8 +129,6 @@ class Baseline(unittest.TestCase):
     def test_steady_within_bounds(self):
         for w in self.spec["workloads"]:
             for m in self.spec["end_to_end"]:
-                if m["name"] == "setup_s":
-                    continue
                 s = run.spread(run.values_of(self.rec, w["name"], m["name"]))
                 self.assertLessEqual(s, m["bound"],
                                      "%s %s" % (w["name"], m["name"]))
