@@ -449,10 +449,6 @@ let experiment_ablation () =
     let base = { fsp_search_config with Search.witnesses_per_path = witnesses } in
     let full = run "Achilles (all optimizations)" base in
     let _ =
-      run "  - incremental solver sessions"
-        { base with Search.incremental_bindings = false }
-    in
-    let _ =
       run "  - differentFrom matrix"
         { base with Search.use_different_from = false }
     in
@@ -740,137 +736,6 @@ let experiment_robustness () =
     (not any_lost);
   if any_lost then exit 1
 
-(* --- E13: hash-consed sharing ------------------------------------------------------------------- *)
-
-let experiment_sharing () =
-  banner "E13: hash-consed term core — sharing ratio, memo hits, end-to-end cost";
-  (* Force the lazy config outside the measured runs: [over_approximate]
-     allocates a fresh variable at construction, which would shift the id
-     sequence of whichever run happened to force it first. *)
-  let pbft = Lazy.force pbft_config in
-  let targets =
-    [
-      ( "fsp",
-        fun () ->
-          Achilles.analyze ~search_config:fsp_search_config
-            ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-            ~server:Fsp_model.server () );
-      ( "pbft",
-        fun () ->
-          Achilles.analyze ~search_config:pbft ~layout:Pbft_model.layout
-            ~clients:[ Pbft_model.client ] ~server:Pbft_model.replica () );
-    ]
-  in
-  (* One measurement = one full analysis from an identical starting state
-     (counters zeroed, every cache/interning table dropped), with sharing on
-     or off. Off reproduces the pre-interning cost model: every construction
-     allocates, every equality/ordering walks structurally. *)
-  let measure sharing analyze =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    Term.set_sharing sharing;
-    let t0 = Unix.gettimeofday () in
-    let analysis = analyze () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let agg = Solver.aggregate_stats () in
-    let intern_hits, created = Term.aggregate_intern_stats () in
-    let blast_hits, blast_misses = Bitblast.aggregate_memo_stats () in
-    let work = Term.structural_work () in
-    let digest = Report.report_digest analysis.Achilles.report in
-    ( digest,
-      [
-        ("wall_s", Printf.sprintf "%.4f" wall);
-        ("solve_s", Printf.sprintf "%.4f" agg.Solver.solve_time);
-        ("queries", string_of_int agg.Solver.queries);
-        ("sat_calls", string_of_int agg.Solver.sat_calls);
-        ("solver_cache_hits", string_of_int agg.Solver.cache_hits);
-        ("solver_cache_entries", string_of_int (Solver.aggregate_cache_entries ()));
-        ("solver_cache_evictions", string_of_int agg.Solver.cache_evictions);
-        ("terms_created", string_of_int created);
-        ("intern_hits", string_of_int intern_hits);
-        ( "sharing_ratio",
-          Printf.sprintf "%.4f"
-            (float_of_int intern_hits
-            /. float_of_int (max 1 (intern_hits + created))) );
-        ("bitblast_memo_hits", string_of_int blast_hits);
-        ("bitblast_memo_misses", string_of_int blast_misses);
-        ("structural_work", string_of_int work);
-        ("digest", digest);
-      ] )
-  in
-  let rows = ref [] in
-  let failed = ref false in
-  Fun.protect
-    ~finally:(fun () -> Term.set_sharing true)
-    (fun () ->
-      List.iter
-        (fun (name, analyze) ->
-          let digest_on, on = measure true analyze in
-          let digest_off, off = measure false analyze in
-          if digest_on <> digest_off then begin
-            Format.eprintf
-              "sharing: %s report digest differs between sharing modes (%s \
-               vs %s)@."
-              name digest_on digest_off;
-            failed := true
-          end;
-          let get k row = List.assoc k row in
-          Format.printf "  %-5s sharing=on  wall %ss, solve %ss, %s queries, \
-                         sharing ratio %s, blast memo %s/%s, work %s@."
-            name (get "wall_s" on) (get "solve_s" on) (get "queries" on)
-            (get "sharing_ratio" on) (get "bitblast_memo_hits" on)
-            (get "bitblast_memo_misses" on) (get "structural_work" on);
-          Format.printf "  %-5s sharing=off wall %ss, solve %ss, %s queries, \
-                         work %s@."
-            name (get "wall_s" off) (get "solve_s" off) (get "queries" off)
-            (get "structural_work" off);
-          (* Queries and bitblast CNF are pinned byte-identical across modes
-             (that is the digest guarantee), so the work counter that can
-             legitimately differ is term construction: every off-mode
-             construction allocates and hashes a fresh node, every on-mode
-             intern hit answers in O(1). *)
-          let created_on = int_of_string (get "terms_created" on) in
-          let created_off = int_of_string (get "terms_created" off) in
-          let alloc_reduction =
-            float_of_int created_off /. float_of_int (max 1 created_on)
-          in
-          let work_on = int_of_string (get "structural_work" on) in
-          let work_off = int_of_string (get "structural_work" off) in
-          let work_reduction =
-            float_of_int work_off /. float_of_int (max 1 work_on)
-          in
-          Format.printf
-            "  %-5s term-construction work: %d -> %d nodes allocated (%.1fx \
-             reduction); structural walks: %d -> %d nodes (%.1fx); digests \
-             identical: %b@."
-            name created_off created_on alloc_reduction work_off work_on
-            work_reduction (digest_on = digest_off);
-          if name = "fsp" && alloc_reduction < 2. then begin
-            Format.eprintf
-              "sharing: expected >= 2x term-construction work reduction on \
-               FSP, got %.2fx@."
-              alloc_reduction;
-            failed := true
-          end;
-          let csv mode row =
-            Printf.sprintf "%s,%s,%s" name mode
-              (String.concat "," (List.map snd row))
-          in
-          rows := csv "off" off :: csv "on" on :: !rows)
-        targets);
-  (* always persist the series, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "sharing.csv"
-    "target,sharing,wall_s,solve_s,queries,sat_calls,solver_cache_hits,solver_cache_entries,solver_cache_evictions,terms_created,intern_hits,sharing_ratio,bitblast_memo_hits,bitblast_memo_misses,structural_work,digest"
-    (List.rev !rows);
-  csv_dir := saved;
-  if !failed then exit 1
-
 (* --- E14: per-phase profile through the tracing layer ------------------------------- *)
 
 module Obs = Achilles_obs.Obs
@@ -952,146 +817,6 @@ let experiment_profile () =
       (100. *. fsp_summary.Obs.Summary.attributed);
     exit 1
   end
-
-(* --- E15: incremental vs scratch solving ----------------------------------------- *)
-
-let experiment_incremental () =
-  banner
-    "E15: assumption-based incremental solving — frame stack vs scratch \
-     queries";
-  (* One measurement = one traced FSP analysis from an identical starting
-     state, with incremental solving on or off, at a given domain count.
-     The digest must be byte-identical across all four combinations: the
-     frame contexts serve verdict-only queries, witness extraction stays on
-     the scratch path, and complete solvers agree on verdicts. *)
-  let measure ~incremental ~domains =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    Solver.set_incremental incremental;
-    let file = Filename.temp_file "achilles-incremental-" ".jsonl" in
-    Obs.Trace.enable file;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze
-        ~search_config:{ fsp_search_config with Search.domains }
-        ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-        ~server:Fsp_model.server ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Obs.Trace.disable ();
-    let summary =
-      match Obs.Summary.load file with
-      | Ok s -> s
-      | Error e ->
-          Format.printf "  incremental: trace unreadable: %s@." e;
-          exit 1
-    in
-    Sys.remove file;
-    let self phase =
-      match
-        List.find_opt
-          (fun r -> r.Obs.Summary.row_phase = phase)
-          summary.Obs.Summary.rows
-      with
-      | Some r -> r.Obs.Summary.self_seconds
-      | None -> 0.
-    in
-    let agg = Solver.aggregate_stats () in
-    let _, blast_misses = Bitblast.aggregate_memo_stats () in
-    let digest = Report.report_digest analysis.Achilles.report in
-    ( digest,
-      [
-        ("wall_s", Printf.sprintf "%.4f" wall);
-        ("solve_s", Printf.sprintf "%.4f" agg.Solver.solve_time);
-        ("solver_query_self_s", Printf.sprintf "%.4f" (self "solver_query"));
-        ("bitblast_self_s", Printf.sprintf "%.4f" (self "bitblast"));
-        ("queries", string_of_int agg.Solver.queries);
-        ("sat_calls", string_of_int agg.Solver.sat_calls);
-        ("incremental_checks", string_of_int agg.Solver.incremental_checks);
-        ("bitblast_memo_misses", string_of_int blast_misses);
-        ("learnts_retained", string_of_int agg.Solver.learnts_retained);
-        ("frame_pushes", string_of_int agg.Solver.frame_pushes);
-        ("frame_pops", string_of_int agg.Solver.frame_pops);
-        ("context_resets", string_of_int agg.Solver.context_resets);
-        ("digest", digest);
-      ] )
-  in
-  let domain_counts = [ 1; 4 ] in
-  let rows = ref [] in
-  let failed = ref false in
-  let get k row = List.assoc k row in
-  Fun.protect
-    ~finally:(fun () -> Solver.set_incremental true)
-    (fun () ->
-      List.iter
-        (fun domains ->
-          let digest_on, on = measure ~incremental:true ~domains in
-          let digest_off, off = measure ~incremental:false ~domains in
-          if digest_on <> digest_off then begin
-            Format.eprintf
-              "incremental: FSP report digest differs between modes at %d \
-               domain(s) (%s vs %s)@."
-              domains digest_on digest_off;
-            failed := true
-          end;
-          Format.printf
-            "  fsp j=%d incremental=on  wall %ss, solver_query self %ss, \
-             bitblast self %ss, %s sat calls, %s blast misses, %s learnts \
-             retained@."
-            domains (get "wall_s" on)
-            (get "solver_query_self_s" on)
-            (get "bitblast_self_s" on) (get "sat_calls" on)
-            (get "bitblast_memo_misses" on)
-            (get "learnts_retained" on);
-          Format.printf
-            "  fsp j=%d incremental=off wall %ss, solver_query self %ss, \
-             bitblast self %ss, %s sat calls, %s blast misses@."
-            domains (get "wall_s" off)
-            (get "solver_query_self_s" off)
-            (get "bitblast_self_s" off) (get "sat_calls" off)
-            (get "bitblast_memo_misses" off);
-          (* Wall-clock is noisy under CI; the deterministic proxy for the
-             avoided work is CNF translation: scratch mode re-bitblasts the
-             whole conjunction on every non-cached query, the frame context
-             translates each distinct term once. *)
-          let misses_on = int_of_string (get "bitblast_memo_misses" on) in
-          let misses_off = int_of_string (get "bitblast_memo_misses" off) in
-          let q_on = float_of_string (get "solver_query_self_s" on) in
-          let q_off = float_of_string (get "solver_query_self_s" off) in
-          Format.printf
-            "  fsp j=%d translation work: %d -> %d memo misses (%.1fx \
-             reduction); solver_query self-time: %.4fs -> %.4fs (%.2fx); \
-             digests identical: %b@."
-            domains misses_off misses_on
-            (float_of_int misses_off /. float_of_int (max 1 misses_on))
-            q_off q_on
-            (q_off /. Float.max q_on 1e-9)
-            (digest_on = digest_off);
-          if domains = 1 && misses_on >= misses_off then begin
-            Format.eprintf
-              "incremental: expected a translation-work reduction on FSP, \
-               got %d (on) vs %d (off) bitblast memo misses@."
-              misses_on misses_off;
-            failed := true
-          end;
-          let csv mode row =
-            Printf.sprintf "fsp,%d,%s,%s" domains mode
-              (String.concat "," (List.map snd row))
-          in
-          rows := csv "off" off :: csv "on" on :: !rows)
-        domain_counts);
-  (* always persist the series, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "incremental.csv"
-    "target,domains,incremental,wall_s,solve_s,solver_query_self_s,bitblast_self_s,queries,sat_calls,incremental_checks,bitblast_memo_misses,learnts_retained,frame_pushes,frame_pops,context_resets,digest"
-    (List.rev !rows);
-  csv_dir := saved;
-  if !failed then exit 1
 
 (* --- E18: static dependency slicing ----------------------------------------------- *)
 
@@ -2037,9 +1762,7 @@ let experiments =
     ("local-state", experiment_local_state);
     ("scaling", experiment_scaling);
     ("robustness", experiment_robustness);
-    ("sharing", experiment_sharing);
     ("profile", experiment_profile);
-    ("incremental", experiment_incremental);
     ("slice", experiment_slice);
     ("dist", experiment_dist);
     ("serve", experiment_serve);

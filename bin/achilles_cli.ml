@@ -158,16 +158,6 @@ let no_prune_arg =
   let doc = "Disable no-Trojan state pruning." in
   Arg.(value & flag & info [ "no-prune" ] ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable assumption-based incremental solving: every solver query is \
-     decided on a fresh scratch SAT instance instead of the per-domain \
-     frame-stack context (also: $(b,ACHILLES_INCREMENTAL=0)). Reports are \
-     byte-identical in both modes; this is the escape hatch and the \
-     baseline for $(b,--experiment incremental)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_slice_arg =
   let doc =
     "Disable static dependency slicing: branch feasibility goes back to \
@@ -351,7 +341,6 @@ type manifest = {
   mf_no_drop : bool;
   mf_no_df : bool;
   mf_no_prune : bool;
-  mf_no_incremental : bool;
   mf_no_slice : bool;
   mf_explain : bool;
   mf_deadline : float option;
@@ -479,7 +468,7 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the bundled target systems")
     Term.(const run $ const ())
 
-let analyze name mask witnesses no_drop no_df no_prune no_incremental no_slice
+let analyze name mask witnesses no_drop no_df no_prune no_slice
     verbose explain domains deadline solver_budget checkpoint_dir resume trace
     workers work_dir lease_ttl reassign_budget digest =
   match find_target name with
@@ -494,7 +483,6 @@ let analyze name mask witnesses no_drop no_df no_prune no_incremental no_slice
       let workers =
         if workers < 0 then Pool.recommended_domains () else workers
       in
-      if no_incremental then Solver.set_incremental false;
       if no_slice then Slice.set_enabled false;
       install_signal_handlers ();
       (* name this process before any trace stream opens, so the
@@ -540,7 +528,6 @@ let analyze name mask witnesses no_drop no_df no_prune no_incremental no_slice
                   mf_no_drop = no_drop;
                   mf_no_df = no_df;
                   mf_no_prune = no_prune;
-                  mf_no_incremental = no_incremental;
                   mf_no_slice = no_slice;
                   mf_explain = explain;
                   mf_deadline = deadline;
@@ -635,7 +622,7 @@ let analyze_cmd =
          ])
     Term.(
       const analyze $ target_arg $ mask_arg $ witnesses_arg $ no_drop_arg
-      $ no_df_arg $ no_prune_arg $ no_incremental_arg $ no_slice_arg
+      $ no_df_arg $ no_prune_arg $ no_slice_arg
       $ verbose_arg $ explain_arg $ domains_arg $ deadline_arg
       $ solver_budget_arg $ checkpoint_dir_arg $ resume_arg $ trace_arg
       $ workers_arg $ work_dir_arg $ lease_ttl_arg $ reassign_budget_arg
@@ -797,7 +784,6 @@ let worker workdir wid epoch =
               Format.eprintf "achilles worker: %s@." e;
               2
           | Ok target ->
-              if mf.mf_no_incremental then Solver.set_incremental false;
               if mf.mf_no_slice then Slice.set_enabled false;
               let config = search_config_of_manifest target mf in
               let job, _, _, _, _ = dist_job target config in

@@ -65,7 +65,7 @@ let negate_path ?(check_overlap = true) ?mask ~layout ~server_vars
               check_overlap
               (* verdict-only, so the overlap probe shares the per-domain
                  incremental context (and its bitblasted binding) across
-                 all fields and paths; scratch when incrementality is off *)
+                 all fields and paths *)
               && Solver.is_sat_assuming (disjunct :: Lazy.force binding)
             then None (* a message satisfies both: discard to avoid FPs *)
             else Some disjunct)

@@ -8,14 +8,9 @@ type config = {
   use_different_from : bool;
   prune_no_trojan : bool;
   check_overlap : bool;
-  incremental_bindings : bool;
-      (* alive-set checks through per-client incremental solver sessions:
-         the msgS = msgC binding is asserted once and each check solves
-         under the current path constraints as assumptions *)
   explain_drops : bool;
       (* record, for every dropped client path, the unsat core of server
-         constraints that made it incompatible (requires
-         incremental_bindings) *)
+         constraints that made it incompatible *)
   use_slice : bool;
       (* answer branch feasibility through the static-slice oracle (cone
          restriction + equality-chain decisions); verdict-preserving, so
@@ -55,7 +50,6 @@ let default_config =
     use_different_from = true;
     prune_no_trojan = true;
     check_overlap = true;
-    incremental_bindings = true;
     explain_drops = false;
     use_slice = Slice.enabled ();
     mask = None;
@@ -244,8 +238,6 @@ type search_ctx = {
   different_from : Different_from.t option;
   alive : (int, int list) Hashtbl.t; (* state id -> alive client indices *)
   bindings : (int, Term.t list) Hashtbl.t; (* client idx -> msgS=msgC binding *)
-  sessions : (int, Solver.Incremental.session) Hashtbl.t;
-      (* client idx -> incremental session with the binding asserted *)
   negations : (int, Term.t) Hashtbl.t; (* client idx -> negate(pathCi) *)
   shard : Interp.shard option; (* the route shard this worker explores *)
   recorder : recorder option; (* event log target (parallel mode only) *)
@@ -326,51 +318,29 @@ let binding_for ctx idx =
       Hashtbl.replace ctx.bindings idx b;
       b
 
-let session_for ctx idx =
-  match Hashtbl.find_opt ctx.sessions idx with
-  | Some s -> s
-  | None ->
-      let s = Solver.Incremental.create () in
-      List.iter (Solver.Incremental.assert_always s) (binding_for ctx idx);
-      Hashtbl.replace ctx.sessions idx s;
-      s
-
 (* pathS /\ bind(pathCi) unsatisfiable? The hot query of the search.
    [Unknown] (budget exhausted, fault injected) must keep the client path
    alive: an alive path only adds its — then implied — negation to the
    Trojan query, whereas a wrong drop would delete a conjunct and admit
    spurious Trojans. Degrading towards "alive" is the sound direction. *)
 let binding_check ctx idx (st : State.t) =
-  let r =
-    if Solver.incremental_enabled () then
-      (* the per-domain frame context: the path prefix is asserted once and
-         shared with the prune query, the interpreter's feasibility checks
-         and every other client's binding check at this state; only the
-         binding terms ride as per-call assumptions *)
-      Solver.check_assuming ~path:st.State.path (binding_for ctx idx)
-    else if ctx.cfg.incremental_bindings then
-      Solver.Incremental.check (session_for ctx idx) st.State.path
-    else Solver.check (List.rev_append st.State.path (binding_for ctx idx))
-  in
-  match r with
+  (* the per-domain frame context: the path prefix is asserted once and
+     shared with the prune query, the interpreter's feasibility checks and
+     every other client's binding check at this state; only the binding
+     terms ride as per-call assumptions *)
+  match Solver.check_assuming ~path:st.State.path (binding_for ctx idx) with
   | Solver.Unsat -> `Incompatible
   | Solver.Sat _ -> `Compatible
   | Solver.Unknown -> `Unknown
 
 (* Explanation for the drop just reported by [binding_check]: the server
-   constraints in the unsat core. With the shared frame context the core
-   may also name binding terms; those are filtered out so the explanation
-   keeps its historical meaning. *)
-let drop_core ctx idx (st : State.t) =
-  if Solver.incremental_enabled () then
-    match Solver.last_assumption_core () with
-    | None -> None
-    | Some core ->
-        Some
-          (List.filter
-             (fun t -> List.exists (Term.equal t) st.State.path)
-             core)
-  else Solver.Incremental.unsat_core (session_for ctx idx)
+   constraints in the unsat core. The shared frame context's core may also
+   name binding terms; those are filtered out so the explanation lists
+   server constraints only. *)
+let drop_core (st : State.t) =
+  Option.map
+    (List.filter (fun t -> List.exists (Term.equal t) st.State.path))
+    (Solver.last_assumption_core ())
 
 let alive_for ctx (st : State.t) =
   match Hashtbl.find_opt ctx.alive st.State.id with
@@ -460,12 +430,8 @@ let on_constraint ctx (st : State.t) cond =
                     if recording then
                       ctx.n_unknown_alive <- ctx.n_unknown_alive + 1
                 | `Incompatible ->
-                  if
-                    recording && ctx.cfg.explain_drops
-                    && (ctx.cfg.incremental_bindings
-                       || Solver.incremental_enabled ())
-                  then begin
-                    match drop_core ctx i st with
+                  if recording && ctx.cfg.explain_drops then begin
+                    match drop_core st with
                     | Some conflicting -> (
                         let plen = List.length st.State.path in
                         match ctx.recorder with
@@ -512,17 +478,13 @@ let on_constraint ctx (st : State.t) cond =
       let pruned =
         ctx.cfg.prune_no_trojan
         &&
-        (* dedup the sibling constraints (shared client negations reappear
-           across alive sets) before the query; the reported term lists are
-           left verbatim. Verdict-only, so with incrementality on it rides
-           the frame context whose stack already holds this state's path;
-           witness extraction below stays on the scratch path (models from
-           a persistent instance would perturb report digests). *)
+        (* verdict-only, so it rides the frame context whose stack already
+           holds this state's path; witness extraction below stays on the
+           scratch path (models from a persistent instance would perturb
+           report digests) *)
         match
-          (if Solver.incremental_enabled () then
-             Solver.check_assuming ~path:st.State.path
-               (List.map (negation_for ctx) alive)
-           else Solver.check (Term.dedup (trojan_query ctx st alive)))
+          Solver.check_assuming ~path:st.State.path
+            (List.map (negation_for ctx) alive)
         with
         | Solver.Unsat -> true
         | Solver.Sat _ -> false
@@ -734,7 +696,6 @@ let make_ctx ~config ~client ~different_from ~shard ~recorder ~started =
     different_from;
     alive = Hashtbl.create 256;
     bindings = Hashtbl.create 64;
-    sessions = Hashtbl.create 64;
     negations = Hashtbl.create 64;
     shard;
     recorder;
@@ -895,7 +856,6 @@ let run_fingerprint ~bits ~config ~client ~server =
             config.use_different_from,
             config.prune_no_trojan,
             config.check_overlap,
-            config.incremental_bindings,
             config.explain_drops,
             config.mask,
             config.witnesses_per_path,

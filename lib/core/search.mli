@@ -20,7 +20,7 @@
 
     {b Multicore.} With [domains > 1] the exploration tree is split into
     [2^split_bits] route shards run as tasks on a {!Pool} of domains, each
-    with its own solver sessions, domain-local solver cache/stats and a
+    with its own solver frame context, domain-local solver cache/stats and a
     fresh-variable counter replaying the sequential id sequence. Exactly one
     shard owns (records) each state, and the merge sorts the disjoint event
     logs by route — lexicographic route order equals sequential depth-first
@@ -41,13 +41,8 @@ type config = {
   use_different_from : bool; (* optimization 2: transitive drops *)
   prune_no_trojan : bool; (* drop states with an unsat Trojan query *)
   check_overlap : bool; (* negate's false-positive discard (§4.1) *)
-  incremental_bindings : bool;
-      (* run the alive-set checks through per-client incremental solver
-         sessions: the msgS = msgC binding is bitblasted once and each
-         check solves under the path constraints as assumptions *)
   explain_drops : bool;
-      (* record an unsat-core explanation for every dropped client path
-         (requires incremental_bindings) *)
+      (* record an unsat-core explanation for every dropped client path *)
   use_slice : bool;
       (* answer server branch feasibility through the static-slice oracle
          ({!Achilles_slice.Slice.make_oracle}): cone-restricted, memoized

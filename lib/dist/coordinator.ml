@@ -425,6 +425,10 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
           Lease.emit_worker_event ~name:"worker_bye" ~args:[ ("wid", Obs.I wid) ]
         end
   in
+  let read_inbox () =
+    List.iter handle_message
+      (List.filter_map Lease.parse_to_coordinator (Lease.Mailbox.recv inbox))
+  in
   let poll_slots ~now =
     Array.iter
       (fun slot ->
@@ -442,6 +446,11 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
             | `Exited code ->
                 h.wh_reap ();
                 slot.handle <- None;
+                (* everything it sent before exiting is in the inbox now:
+                   handle it before its leases are released, or a shard it
+                   finished after this loop's last read would be fenced
+                   off while its checkpoint sits valid on disk *)
+                read_inbox ();
                 Lease.emit_worker_event ~name:"exit"
                   ~args:[ ("wid", Obs.I slot.wid); ("code", Obs.I code) ];
                 release_leases_of ~worker:slot.wid;
@@ -472,9 +481,7 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
       let finished = ref false in
       while not !finished do
         let now = Unix.gettimeofday () in
-        List.iter handle_message
-          (List.filter_map Lease.parse_to_coordinator
-             (Lease.Mailbox.recv inbox));
+        read_inbox ();
         List.iter
           (fun (shard, token, wid) ->
             Lease.remove_lease ~workdir ~shard;
@@ -522,9 +529,7 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
       let deadline = Unix.gettimeofday () +. config.c_drain_grace in
       while live_handles () && Unix.gettimeofday () < deadline do
         (* keep consuming messages so workers blocked on a reply drain *)
-        List.iter handle_message
-          (List.filter_map Lease.parse_to_coordinator
-             (Lease.Mailbox.recv inbox));
+        read_inbox ();
         poll_slots ~now:(Unix.gettimeofday ());
         Array.iter
           (fun slot -> if slot.handle <> None then reply slot.wid Lease.Drain)
@@ -550,7 +555,10 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
               reap 100;
               slot.handle <- None
           | None -> ())
-        slots);
+        slots;
+      (* a hard-killed worker may have finished a shard first; every
+         worker is gone now, so one last read sees all they sent *)
+      read_inbox ());
   (* final status: the run is settled (or cancelled); ages freeze here *)
   write_status ~state:"done" ~now:(Unix.gettimeofday ());
   let outs_resumed =

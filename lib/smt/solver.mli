@@ -45,42 +45,28 @@ val implied : Term.t list -> Term.t -> bool
 
 (** {1 Incremental solving (assumption-based frame stack)}
 
-    When incremental solving is enabled (the default; see
-    {!incremental_enabled}), verdict-only queries can be decided on a
-    long-lived per-domain SAT instance instead of a scratch instance per
-    query. Constraints are activated through per-term guard literals and a
-    push/pop frame stack mirrors the DFS path prefix, so sibling queries
-    along the path tree only bitblast their delta constraint and learnt
-    clauses persist across queries and across escalation rungs.
+    Verdict-only queries are decided on a long-lived per-domain SAT
+    instance instead of a scratch instance per query. Constraints are
+    activated through per-term guard literals and a push/pop frame stack
+    mirrors the DFS path prefix, so sibling queries along the path tree
+    only bitblast their delta constraint and learnt clauses persist across
+    queries and across escalation rungs.
 
     Incremental checks are {e verdict-oriented}: [Sat] answers carry an
     empty model. Model extraction (witness enumeration) must keep using the
     scratch {!check} — a persistent instance finds different (though equally
     valid) models, and report digests include witness bytes. Complete
-    solvers agree on verdicts, so report digests are byte-identical whether
-    incrementality is on or off. *)
-
-val incremental_enabled : unit -> bool
-(** Whether {!check_assuming} uses the per-domain incremental context.
-    Defaults to [true]; the environment variable [ACHILLES_INCREMENTAL]
-    (["0"], ["false"], ["off"], ["no"]) or {!set_incremental} turns it off,
-    falling back to the scratch path. *)
-
-val set_incremental : bool -> unit
-(** Toggle incremental solving globally (the [--no-incremental] escape
-    hatch). Takes effect on the next query; existing contexts are kept and
-    simply bypassed while disabled. *)
+    solvers agree on verdicts, so report digests are byte-identical to what
+    scratch solving every query would produce. *)
 
 val check_assuming :
   ?conflict_limit:int -> ?path:Term.t list -> Term.t list -> result
 (** [check_assuming ~path extras]: satisfiability of the conjunction of
-    [path] (newest-first, as [State.path]) and [extras]. With incremental
-    solving enabled this syncs the calling domain's frame stack to [path]
-    (popping what the search backtracked past, pushing the delta) and solves
-    under assumptions on the shared instance; disabled, it is exactly
-    [check (extras @ path)]. Treat the answer as a verdict only: the
-    incremental path returns [Sat] with an empty model, while the scratch
-    fallback happens to carry a real one. *)
+    [path] (newest-first, as [State.path]) and [extras]. Syncs the calling
+    domain's frame stack to [path] (popping what the search backtracked
+    past, pushing the delta) and solves under assumptions on the shared
+    instance. Treat the answer as a verdict only: [Sat] carries an empty
+    model. *)
 
 val is_sat_assuming : ?path:Term.t list -> Term.t list -> bool
 (** {!check_assuming} specialized to a boolean; [Unknown] maps to [false]
@@ -89,8 +75,8 @@ val is_sat_assuming : ?path:Term.t list -> Term.t list -> bool
 val last_assumption_core : unit -> Term.t list option
 (** After an [Unsat] from {!check_assuming} on this domain: the subset of
     that query's terms (path and extras alike) responsible for the
-    conflict. [None] with incrementality disabled, after Sat/Unknown, or
-    when the conflict was found before reaching the SAT core machinery. *)
+    conflict. [None] after Sat/Unknown, or when the conflict was found
+    before reaching the SAT core machinery. *)
 
 val set_context_var_cap : int -> unit
 (** Variable count at which a domain's incremental context is recycled
@@ -268,38 +254,3 @@ val cache_stats : unit -> cache_stats
 
 val aggregate_cache_entries : unit -> int
 (** Total live result-cache entries across every registered domain. *)
-
-(** {1 Incremental sessions}
-
-    A session keeps one SAT instance alive across queries: permanent
-    constraints are asserted once, and each {!Incremental.check} solves
-    under per-call assumption terms (guard literals in the underlying CDCL
-    solver). Terms are bitblasted once per session and learnt clauses
-    persist, which is exactly right for symbolic execution's pattern of
-    re-querying a fixed binding under monotonically growing path
-    constraints. *)
-module Incremental : sig
-  type session
-
-  val create : unit -> session
-
-  val assert_always : session -> Term.t -> unit
-  (** Add a permanent constraint. *)
-
-  val check : ?conflict_limit:int -> session -> Term.t list -> result
-  (** Satisfiability of (permanent constraints /\ the given terms); the
-      given terms hold for this call only. Honors the calling domain's
-      ambient {!budget} (deadline, conflicts, escalation ladder) and fault
-      injection exactly like the top-level {!check}. *)
-
-  val is_sat : ?conflict_limit:int -> session -> Term.t list -> bool
-  val is_unsat : ?conflict_limit:int -> session -> Term.t list -> bool
-  (** Like the top-level specializations, both map [Unknown] to [false]:
-      an exhausted budget proves neither satisfiability nor its negation. *)
-
-  val unsat_core : session -> Term.t list option
-  (** After an [Unsat] answer: the subset of that check's terms already
-      sufficient for unsatisfiability together with the permanent
-      constraints — an explanation of the conflict. [None] when the
-      permanent constraints alone are contradictory. *)
-end

@@ -72,10 +72,6 @@ let fresh_counter_value () = !(Domain.DLS.get fresh_counter)
    with this domain's structurally equal copy, which costs speed, never
    correctness. *)
 
-let sharing = Atomic.make true
-let set_sharing b = Atomic.set sharing b
-let sharing_enabled () = Atomic.get sharing
-
 let tid_counter = Atomic.make 0
 let next_tid () = Atomic.fetch_and_add tid_counter 1
 
@@ -84,9 +80,6 @@ type intern_state = {
   var_ids_memo : (int, int list) Hashtbl.t; (* tid -> sorted var ids *)
   mutable s_hits : int; (* constructions answered from the table *)
   mutable s_created : int; (* nodes physically allocated *)
-  mutable s_work : int;
-      (* nodes visited by structural equal/compare and by the var-id
-         traversal — the walks sharing short-circuits or memoizes away *)
 }
 
 let intern_registry : intern_state list ref = ref []
@@ -101,7 +94,6 @@ let intern_key =
           var_ids_memo = Hashtbl.create 1024;
           s_hits = 0;
           s_created = 0;
-          s_work = 0;
         }
       in
       intern_registry := st :: !intern_registry;
@@ -120,23 +112,13 @@ let registered_intern_states () =
   Mutex.unlock intern_mutex;
   states
 
-let aggregate_intern_stats () =
-  List.fold_left
-    (fun (h, c) st -> (h + st.s_hits, c + st.s_created))
-    (0, 0)
-    (registered_intern_states ())
-
-let structural_work () =
-  List.fold_left (fun w st -> w + st.s_work) 0 (registered_intern_states ())
-
 let clear_interning () =
   List.iter
     (fun st ->
       Hashtbl.reset st.buckets;
       Hashtbl.reset st.var_ids_memo;
       st.s_hits <- 0;
-      st.s_created <- 0;
-      st.s_work <- 0)
+      st.s_created <- 0)
     (registered_intern_states ())
 
 (* --- structural hash ------------------------------------------------------ *)
@@ -186,24 +168,21 @@ let hash_node = function
 
    Both ignore [tid] and [hkey] (beyond the hkey fast-reject), so their
    answers match what [Stdlib.compare]/[(=)] gave on the old plain ADT:
-   canonical orders, cache keys and digests are byte-identical whether
-   sharing is on or off, and whichever domain built the operands. *)
+   canonical orders, cache keys and digests are byte-identical whichever
+   domain built the operands. *)
 
 let var_equal v w =
   v == w || (v.id = w.id && String.equal v.name w.name && sort_equal v.sort w.sort)
 
-let rec equal_rec st a b =
-  a == b
-  ||
-  (st.s_work <- st.s_work + 1;
-   a.hkey = b.hkey && node_equal st a.node b.node)
+let rec equal a b =
+  a == b || (a.hkey = b.hkey && node_equal a.node b.node)
 
-and node_equal st n1 n2 =
+and node_equal n1 n2 =
   match n1, n2 with
   | True, True | False, False -> true
   | Const x, Const y -> Bv.equal x y
   | Var v, Var w -> var_equal v w
-  | Not a, Not b | Bnot a, Bnot b -> equal_rec st a b
+  | Not a, Not b | Bnot a, Bnot b -> equal a b
   | And (a1, b1), And (a2, b2)
   | Or (a1, b1), Or (a2, b2)
   | Eq (a1, b1), Eq (a2, b2)
@@ -223,14 +202,13 @@ and node_equal st n1 n2 =
   | Lshr (a1, b1), Lshr (a2, b2)
   | Ashr (a1, b1), Ashr (a2, b2)
   | Concat (a1, b1), Concat (a2, b2) ->
-      equal_rec st a1 a2 && equal_rec st b1 b2
+      equal a1 a2 && equal b1 b2
   | Ite (c1, a1, b1), Ite (c2, a2, b2) ->
-      equal_rec st c1 c2 && equal_rec st a1 a2 && equal_rec st b1 b2
+      equal c1 c2 && equal a1 a2 && equal b1 b2
   | Extract (h1, l1, a), Extract (h2, l2, b) ->
-      h1 = h2 && l1 = l2 && equal_rec st a b
+      h1 = h2 && l1 = l2 && equal a b
   | _ -> false
 
-let equal a b = a == b || equal_rec (intern_state ()) a b
 
 (* Constructor rank replicating [Stdlib.compare] on the old ADT: the
    constant constructors ([True], [False]) sort below every block, blocks
@@ -287,10 +265,9 @@ let var_compare v w =
       let c = String.compare v.name w.name in
       if c <> 0 then c else sort_compare v.sort w.sort
 
-let rec compare_rec st a b =
+let rec compare a b =
   if a == b then 0
   else begin
-    st.s_work <- st.s_work + 1;
     let ra = rank a.node and rb = rank b.node in
     if ra <> rb then Int.compare ra rb
     else
@@ -298,7 +275,7 @@ let rec compare_rec st a b =
       | True, True | False, False -> 0
       | Const x, Const y -> bv_compare x y
       | Var v, Var w -> var_compare v w
-      | Not x, Not y | Bnot x, Bnot y -> compare_rec st x y
+      | Not x, Not y | Bnot x, Bnot y -> compare x y
       | And (a1, b1), And (a2, b2)
       | Or (a1, b1), Or (a2, b2)
       | Eq (a1, b1), Eq (a2, b2)
@@ -318,24 +295,23 @@ let rec compare_rec st a b =
       | Lshr (a1, b1), Lshr (a2, b2)
       | Ashr (a1, b1), Ashr (a2, b2)
       | Concat (a1, b1), Concat (a2, b2) ->
-          let c = compare_rec st a1 a2 in
-          if c <> 0 then c else compare_rec st b1 b2
+          let c = compare a1 a2 in
+          if c <> 0 then c else compare b1 b2
       | Ite (c1, a1, b1), Ite (c2, a2, b2) ->
-          let c = compare_rec st c1 c2 in
+          let c = compare c1 c2 in
           if c <> 0 then c
           else
-            let c = compare_rec st a1 a2 in
-            if c <> 0 then c else compare_rec st b1 b2
+            let c = compare a1 a2 in
+            if c <> 0 then c else compare b1 b2
       | Extract (h1, l1, x), Extract (h2, l2, y) ->
           let c = Int.compare h1 h2 in
           if c <> 0 then c
           else
             let c = Int.compare l1 l2 in
-            if c <> 0 then c else compare_rec st x y
+            if c <> 0 then c else compare x y
       | _ -> 0 (* unreachable: ranks are equal only on matching heads *)
   end
 
-let compare a b = if a == b then 0 else compare_rec (intern_state ()) a b
 
 let hash t = t.hkey
 
@@ -376,27 +352,22 @@ let shallow_equal n1 n2 =
 let mk node =
   let hkey = hash_node node in
   let st = intern_state () in
-  if not (Atomic.get sharing) then begin
-    st.s_created <- st.s_created + 1;
-    { tid = next_tid (); node; hkey }
-  end
-  else
-    match Hashtbl.find_opt st.buckets hkey with
-    | Some bucket -> (
-        match List.find_opt (fun u -> shallow_equal u.node node) !bucket with
-        | Some u ->
-            st.s_hits <- st.s_hits + 1;
-            u
-        | None ->
-            let u = { tid = next_tid (); node; hkey } in
-            st.s_created <- st.s_created + 1;
-            bucket := u :: !bucket;
-            u)
-    | None ->
-        let u = { tid = next_tid (); node; hkey } in
-        st.s_created <- st.s_created + 1;
-        Hashtbl.add st.buckets hkey (ref [ u ]);
-        u
+  match Hashtbl.find_opt st.buckets hkey with
+  | Some bucket -> (
+      match List.find_opt (fun u -> shallow_equal u.node node) !bucket with
+      | Some u ->
+          st.s_hits <- st.s_hits + 1;
+          u
+      | None ->
+          let u = { tid = next_tid (); node; hkey } in
+          st.s_created <- st.s_created + 1;
+          bucket := u :: !bucket;
+          u)
+  | None ->
+      let u = { tid = next_tid (); node; hkey } in
+      st.s_created <- st.s_created + 1;
+      Hashtbl.add st.buckets hkey (ref [ u ]);
+      u
 
 (* --- sorts ---------------------------------------------------------------- *)
 
@@ -766,14 +737,8 @@ let vars t =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
   |> List.sort (fun a b -> Stdlib.compare a.id b.id)
 
-(* The traversal behind [var_ids], with every node visit charged to the
-   structural-work counter: with sharing on the per-tid memo answers repeat
-   queries without walking, so the visits counted here are exactly the work
-   interning removes from the predicate/negate/differentFrom layers. *)
 let compute_var_ids t =
-  let st = intern_state () in
   let rec go t acc =
-    st.s_work <- st.s_work + 1;
     match t.node with
     | True | False | Const _ -> acc
     | Var v -> Int_set.add v.id acc
@@ -788,16 +753,13 @@ let compute_var_ids t =
   Int_set.elements (go t Int_set.empty)
 
 let var_ids t =
-  if Atomic.get sharing then begin
-    let st = intern_state () in
-    match Hashtbl.find_opt st.var_ids_memo t.tid with
-    | Some ids -> ids
-    | None ->
-        let ids = compute_var_ids t in
-        Hashtbl.replace st.var_ids_memo t.tid ids;
-        ids
-  end
-  else compute_var_ids t
+  let st = intern_state () in
+  match Hashtbl.find_opt st.var_ids_memo t.tid with
+  | Some ids -> ids
+  | None ->
+      let ids = compute_var_ids t in
+      Hashtbl.replace st.var_ids_memo t.tid ids;
+      ids
 
 let mentions t v =
   let exception Found in

@@ -4,15 +4,15 @@
     perform constant folding and light algebraic simplification. Every term
     is a hash-consed record: [node] is the structure, [hkey] a structural
     hash computed at construction, and [tid] a process-unique id assigned
-    when the node is first built. With sharing enabled (the default), each
-    domain interns the nodes it constructs, so structurally equal terms
+    when the node is first built. Each domain interns the nodes it
+    constructs, so structurally equal terms
     built on one domain are physically equal and {!equal}/{!compare}/{!hash}
     are (amortized) O(1).
 
     The [tid] is an identity for memo tables only: it never participates in
     {!equal}, {!compare} or {!pp}, so printed output — and everything
-    digested from it — is independent of construction order, domain count
-    and sharing mode. *)
+    digested from it — is independent of construction order and domain
+    count. *)
 
 type sort = Bool | Bitvec of int
 
@@ -138,8 +138,8 @@ val vars : t -> var list
 
 val var_ids : t -> int list
 (** Distinct variable ids, ascending. Memoized per [tid] on the calling
-    domain while sharing is enabled (the closure computations in [Negate]
-    and [Predicate] re-ask for the same terms constantly). *)
+    domain (the closure computations in [Negate] and [Predicate] re-ask for
+    the same terms constantly). *)
 
 val mentions : t -> var -> bool
 val size : t -> int
@@ -157,8 +157,8 @@ val alpha_key : t list -> string
 
 val equal : t -> t -> bool
 (** Structural equality (ignoring [tid]), with a physical-equality fast
-    path. On interned same-domain terms this is O(1); across domains or
-    with sharing off it falls back to an [hkey]-filtered structural walk. *)
+    path. On interned same-domain terms this is O(1); across domains it
+    falls back to an [hkey]-filtered structural walk. *)
 
 val compare : t -> t -> int
 (** A total order with exactly the semantics the previous plain-ADT
@@ -167,36 +167,19 @@ val compare : t -> t -> int
     canonical form — and therefore every digest — is unchanged. *)
 
 val hash : t -> int
-(** The stored structural hash; O(1) in both sharing modes. *)
+(** The stored structural hash; O(1). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Interning control and introspection} *)
 
-val set_sharing : bool -> unit
-(** Toggle hash-consing (default on). With sharing off every construction
-    allocates a fresh node, reproducing the pre-interning cost model; all
-    results are identical in both modes, only speed and memory change. *)
-
-val sharing_enabled : unit -> bool
-
 val intern_stats : unit -> int * int
 (** [(hits, created)] for the calling domain: constructions answered from
     the intern table vs nodes physically allocated. *)
 
-val aggregate_intern_stats : unit -> int * int
-(** Totals over every domain that has built terms (including finished
-    ones). *)
-
-val structural_work : unit -> int
-(** Total number of term nodes visited by the structural fallbacks of
-    {!equal} and {!compare} and by the traversal behind {!var_ids}, across
-    all domains — the work that sharing exists to avoid.  Physical-equality
-    hits and per-tid memo hits cost (and count) nothing. *)
-
 val clear_interning : unit -> unit
-(** Drop every domain's intern table and per-tid memo and zero the sharing
+(** Drop every domain's intern table and per-tid memo and zero the intern
     counters. Safe only while no other domain is constructing terms; live
     terms stay valid (subsequent constructions simply re-intern). *)
 

@@ -265,8 +265,7 @@ let rec eval ctx st (locals : locals) (e : Ast.expr) : Term.t =
 (* Is [cond] consistent with the state's path? Verdict-only, so it rides
    the per-domain incremental context: the frame stack is synced to the
    state's path prefix (shared with the sibling branch and every ancestor
-   check) and only [cond] itself is new. [--no-incremental] falls back to
-   the historical scratch query [check (cond :: path)]. *)
+   check) and only [cond] itself is new. *)
 let feasible ctx (st : State.t) cond =
   match ctx.config.oracle with
   | Some oracle when st.State.path_exact -> oracle ~path:st.State.path cond

@@ -1,16 +1,11 @@
 (* Tests for the hash-consed term core: semantic equivalence of the smart
    constructors against direct bit-level evaluation under random models,
    hash-consing invariants (equal <=> physical equality, id stability under
-   replay, sharing-off agreement), and the registry-wide solver-cache
-   clear/eviction behaviour the bounded per-domain cache introduced. *)
+   replay, agreement of terms interned on different domains), and the
+   registry-wide solver-cache clear/eviction behaviour the bounded
+   per-domain cache introduced. *)
 
 open Achilles_smt
-
-(* Every property must leave sharing on for later tests, whatever happens. *)
-let with_sharing mode f =
-  Fun.protect ~finally:(fun () -> Term.set_sharing true) (fun () ->
-      Term.set_sharing mode;
-      f ())
 
 (* --- term recipes ----------------------------------------------------------
 
@@ -203,7 +198,7 @@ let model_of vars values =
 
 (* Constructor-time rewrites must be invisible to evaluation: a term built
    through the smart constructors evaluates to the recipe's direct Bv
-   denotation, under both sharing modes. *)
+   denotation. *)
 let qcheck_rewrites_preserve_bv_semantics =
   QCheck2.Test.make ~name:"smart constructors preserve bitvector semantics"
     ~count:500
@@ -211,12 +206,8 @@ let qcheck_rewrites_preserve_bv_semantics =
     (fun (recipe, values) ->
       let vars = make_vars () in
       let m = model_of vars values in
-      let expected = denote_bv values recipe in
-      List.for_all
-        (fun mode ->
-          with_sharing mode (fun () ->
-              Model.eval_bv m (build_bv vars recipe) |> Bv.equal expected))
-        [ true; false ])
+      Model.eval_bv m (build_bv vars recipe)
+      |> Bv.equal (denote_bv values recipe))
 
 let qcheck_rewrites_preserve_bool_semantics =
   QCheck2.Test.make ~name:"smart constructors preserve boolean semantics"
@@ -225,111 +216,112 @@ let qcheck_rewrites_preserve_bool_semantics =
     (fun (recipe, values) ->
       let vars = make_vars () in
       let m = model_of vars values in
-      let expected = denote_bool values recipe in
-      List.for_all
-        (fun mode ->
-          with_sharing mode (fun () ->
-              Model.eval_bool m (build_bool vars recipe) = expected))
-        [ true; false ])
+      Model.eval_bool m (build_bool vars recipe) = denote_bool values recipe)
 
-(* Sharing must be a pure representation choice: the same recipe renders to
-   the same concrete syntax whether or not terms are interned. *)
+(* Built on another domain, on another domain's intern table. *)
+let build_on_other_domain vars recipe =
+  Domain.join (Domain.spawn (fun () -> build_bool vars recipe))
+
+(* Interning is per-domain, so the same recipe built on two domains gives
+   two distinct objects (only the preallocated boolean constants are
+   shared): the main-domain build is shared with this domain's table, the
+   other-domain build is not. Everything observable must still agree: the
+   structural fallbacks of equal/compare, the stored hash and the
+   rendering. Parallel search meets exactly such pairs: client predicates
+   are built on the main domain and compared with terms built by the
+   workers. *)
 let qcheck_sharing_modes_agree =
   QCheck2.Test.make ~name:"sharing on/off build identical terms" ~count:300
     (gen_bool 4)
     (fun recipe ->
       let vars = make_vars () in
-      let on = with_sharing true (fun () -> build_bool vars recipe) in
-      let off = with_sharing false (fun () -> build_bool vars recipe) in
-      String.equal (Term.to_string on) (Term.to_string off))
+      let foreign = build_on_other_domain vars recipe in
+      let local = build_bool vars recipe in
+      (foreign != local || Term.bool_value local <> None)
+      && Term.equal foreign local
+      && Term.compare foreign local = 0
+      && Term.hash foreign = Term.hash local
+      && String.equal (Term.to_string foreign) (Term.to_string local))
 
 (* --- hash-consing invariants ----------------------------------------------- *)
 
-(* With sharing on, structural equality and physical equality coincide for
-   terms built in the same domain. *)
+(* Structural equality and physical equality coincide for terms built in
+   the same domain. *)
 let qcheck_equal_iff_physical =
   QCheck2.Test.make ~name:"equal a b <=> a == b under sharing" ~count:300
     QCheck2.Gen.(pair (gen_bool 4) (gen_bool 4))
     (fun (r1, r2) ->
-      with_sharing true (fun () ->
-          let vars = make_vars () in
-          let a = build_bool vars r1 and b = build_bool vars r2 in
-          let dup = build_bool vars r1 in
-          (* a rebuilt copy of the same recipe is the same object *)
-          a == dup
-          (* and for arbitrary pairs the two equalities agree *)
-          && Term.equal a b = (a == b)))
+      let vars = make_vars () in
+      let a = build_bool vars r1 and b = build_bool vars r2 in
+      let dup = build_bool vars r1 in
+      (* a rebuilt copy of the same recipe is the same object *)
+      a == dup
+      (* and for arbitrary pairs the two equalities agree *)
+      && Term.equal a b = (a == b))
 
 let qcheck_rebuild_is_identity =
   QCheck2.Test.make ~name:"rebuild is the identity on interned terms"
     ~count:300 (gen_bool 4)
     (fun recipe ->
-      with_sharing true (fun () ->
-          let vars = make_vars () in
-          let t = build_bool vars recipe in
-          Term.rebuild t == t))
+      let vars = make_vars () in
+      let t = build_bool vars recipe in
+      Term.rebuild t == t)
 
 (* Replaying a construction sequence from the same fresh-counter position
    reproduces the same variable ids and the same physical terms — the
    property the parallel search's shard replay depends on. *)
 let test_replay_id_stability () =
-  with_sharing true (fun () ->
-      let base = Term.fresh_counter_value () in
-      let build () =
-        Term.set_fresh_counter base;
-        let x = Term.var (Term.fresh_var ~name:"replay" (Term.Bitvec 8)) in
-        let y = Term.var (Term.fresh_var ~name:"replay" (Term.Bitvec 8)) in
-        [
-          Term.eq (Term.add x y) (Term.int ~width:8 7);
-          Term.ult x y;
-          Term.and_ (Term.ult x y) (Term.not_ (Term.eq x y));
-        ]
-      in
-      let first = build () in
-      let second = build () in
-      Alcotest.(check int)
-        "same fresh-counter position"
-        (base + 2)
-        (Term.fresh_counter_value ());
-      List.iter2
-        (fun a b ->
-          Alcotest.(check bool) "replayed term is the same object" true (a == b);
-          Alcotest.(check int) "replayed tid is stable" a.Term.tid b.Term.tid)
-        first second)
+  let base = Term.fresh_counter_value () in
+  let build () =
+    Term.set_fresh_counter base;
+    let x = Term.var (Term.fresh_var ~name:"replay" (Term.Bitvec 8)) in
+    let y = Term.var (Term.fresh_var ~name:"replay" (Term.Bitvec 8)) in
+    [
+      Term.eq (Term.add x y) (Term.int ~width:8 7);
+      Term.ult x y;
+      Term.and_ (Term.ult x y) (Term.not_ (Term.eq x y));
+    ]
+  in
+  let first = build () in
+  let second = build () in
+  Alcotest.(check int)
+    "same fresh-counter position"
+    (base + 2)
+    (Term.fresh_counter_value ());
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "replayed term is the same object" true (a == b);
+      Alcotest.(check int) "replayed tid is stable" a.Term.tid b.Term.tid)
+    first second
 
-(* Terms created while sharing was off are re-interned by [rebuild]; the
-   result is canonical (physically equal to a sharing-on build) and renders
-   identically. *)
-let test_rebuild_after_off_mode () =
+(* A term interned on another domain is re-interned by [rebuild] into this
+   domain's table; the result is canonical (physically equal to a local
+   build) and renders identically. *)
+let test_rebuild_cross_domain () =
   let vars = make_vars () in
   let recipe =
     RAnd
       ( RCmp ("ult", RVar 0, RBin ("add", RVar 1, RConst (Bv.of_int ~width:8 3))),
         RNot (RCmp ("eq", RVar 0, RVar 2)) )
   in
-  let off = with_sharing false (fun () -> build_bool vars recipe) in
-  with_sharing true (fun () ->
-      let canonical = build_bool vars recipe in
-      let rebuilt = Term.rebuild off in
-      Alcotest.(check bool)
-        "rebuild re-interns to the canonical object" true
-        (rebuilt == canonical);
-      Alcotest.(check string)
-        "rendering unchanged" (Term.to_string off) (Term.to_string rebuilt))
+  let foreign = build_on_other_domain vars recipe in
+  let canonical = build_bool vars recipe in
+  let rebuilt = Term.rebuild foreign in
+  Alcotest.(check bool)
+    "rebuild re-interns to the canonical object" true
+    (rebuilt == canonical);
+  Alcotest.(check string)
+    "rendering unchanged" (Term.to_string foreign) (Term.to_string rebuilt)
 
-(* var_ids is memoized by term id under sharing; the memo must be invisible. *)
+(* var_ids is memoized by term id; the memo must be invisible, also for a
+   term interned on another domain, whose tid means nothing here. *)
 let qcheck_var_ids_memo_transparent =
   QCheck2.Test.make ~name:"var_ids agrees across sharing modes" ~count:300
     (gen_bool 4)
     (fun recipe ->
       let vars = make_vars () in
-      let on =
-        with_sharing true (fun () -> Term.var_ids (build_bool vars recipe))
-      in
-      let off =
-        with_sharing false (fun () -> Term.var_ids (build_bool vars recipe))
-      in
-      on = off)
+      let foreign = build_on_other_domain vars recipe in
+      Term.var_ids foreign = Term.var_ids (build_bool vars recipe))
 
 (* --- bounded solver cache -------------------------------------------------- *)
 
@@ -407,18 +399,17 @@ let test_cache_capacity_validation () =
 (* --- intern counters ------------------------------------------------------- *)
 
 let test_intern_stats_move () =
-  with_sharing true (fun () ->
-      Solver.reset_all_for_tests ();
-      let vars = make_vars () in
-      let x = Term.var vars.(0) and y = Term.var vars.(1) in
-      let _t1 = Term.add x y in
-      let hits0, created0 = Term.intern_stats () in
-      let _t2 = Term.add x y in
-      let hits1, created1 = Term.intern_stats () in
-      Alcotest.(check bool) "duplicate construction hits" true (hits1 > hits0);
-      Alcotest.(check int) "duplicate construction allocates nothing" created0
-        created1;
-      Solver.reset_all_for_tests ())
+  Solver.reset_all_for_tests ();
+  let vars = make_vars () in
+  let x = Term.var vars.(0) and y = Term.var vars.(1) in
+  let _t1 = Term.add x y in
+  let hits0, created0 = Term.intern_stats () in
+  let _t2 = Term.add x y in
+  let hits1, created1 = Term.intern_stats () in
+  Alcotest.(check bool) "duplicate construction hits" true (hits1 > hits0);
+  Alcotest.(check int) "duplicate construction allocates nothing" created0
+    created1;
+  Solver.reset_all_for_tests ()
 
 let () =
   let qsuite name tests =
@@ -442,8 +433,8 @@ let () =
         [
           Alcotest.test_case "id stability under replay" `Quick
             test_replay_id_stability;
-          Alcotest.test_case "rebuild after off-mode" `Quick
-            test_rebuild_after_off_mode;
+          Alcotest.test_case "rebuild after a cross-domain build" `Quick
+            test_rebuild_cross_domain;
         ] );
       ( "solver-cache",
         [

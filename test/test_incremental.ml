@@ -1,22 +1,12 @@
 (* Differential harness for assumption-based incremental solving: the
    frame-stack contexts ([Solver.Frames] / [Solver.check_assuming]) must
    agree verdict-for-verdict with the scratch solver on arbitrary query
-   sequences — Unknown may only widen — across sharing modes and domain
-   counts; plus regression coverage for escalation-rung clause retention and
-   the registry-wide context clear. *)
+   sequences — Unknown may only widen — across domain counts, for terms
+   built on another domain, and across context recycling; plus regression
+   coverage for escalation-rung clause retention and the registry-wide
+   context clear. *)
 
 open Achilles_smt
-
-let with_sharing mode f =
-  Fun.protect ~finally:(fun () -> Term.set_sharing true) (fun () ->
-      Term.set_sharing mode;
-      f ())
-
-let with_incremental mode f =
-  let prev = Solver.incremental_enabled () in
-  Fun.protect ~finally:(fun () -> Solver.set_incremental prev) (fun () ->
-      Solver.set_incremental mode;
-      f ())
 
 (* --- a small constraint language -------------------------------------------
 
@@ -84,29 +74,59 @@ let verdicts_agree a b =
    conjunct. The incremental route answers through the per-domain frame
    stack; the oracle is the always-scratch [Solver.check] on the same
    conjunction. *)
+let differential_on ~path extra =
+  let incremental = Solver.check_assuming ~path [ extra ] in
+  let scratch = Solver.check (extra :: path) in
+  verdicts_agree incremental scratch
+
 let run_differential (path_atoms, extra_atom) =
-  (* pin the route under test: the property must not go vacuous when the
-     suite runs under ACHILLES_INCREMENTAL=0 (the CI scratch leg) *)
-  with_incremental true (fun () ->
-      let vars = make_vars () in
-      let path = List.map (build_atom vars) path_atoms in
-      let extra = build_atom vars extra_atom in
-      let incremental = Solver.check_assuming ~path [ extra ] in
-      let scratch = Solver.check (extra :: path) in
-      verdicts_agree incremental scratch)
+  let vars = make_vars () in
+  differential_on
+    ~path:(List.map (build_atom vars) path_atoms)
+    (build_atom vars extra_atom)
 
 let gen_case =
   QCheck2.Gen.(pair (list_size (int_bound 6) gen_atom) gen_atom)
 
-let qcheck_differential_sharing_on =
-  QCheck2.Test.make ~name:"check_assuming = scratch check (sharing on)"
-    ~count:150 gen_case
-    (fun case -> with_sharing true (fun () -> run_differential case))
+let qcheck_differential =
+  QCheck2.Test.make ~name:"check_assuming = scratch check (one domain)"
+    ~count:150 gen_case run_differential
 
-let qcheck_differential_sharing_off =
-  QCheck2.Test.make ~name:"check_assuming = scratch check (sharing off)"
-    ~count:100 gen_case
-    (fun case -> with_sharing false (fun () -> run_differential case))
+(* The path is built on the main domain and queried from a worker domain,
+   whose intern table has never seen those terms: its frame context must
+   still recognise them (guards and the frame stack compare structurally).
+   Parallel search does exactly this with client predicates. *)
+let qcheck_differential_cross_domain =
+  QCheck2.Test.make
+    ~name:"check_assuming = scratch check (shared across domains)" ~count:100
+    gen_case
+    (fun (path_atoms, extra_atom) ->
+      let vars = make_vars () in
+      let path = List.map (build_atom vars) path_atoms in
+      let extra = build_atom vars extra_atom in
+      Domain.join (Domain.spawn (fun () -> differential_on ~path extra)))
+
+(* Recycling under a tiny variable cap: nearly every check rebuilds the
+   context and re-asserts the live stack, which must not change a single
+   verdict. *)
+let test_differential_recycled () =
+  Solver.reset_all_for_tests ();
+  Fun.protect
+    ~finally:(fun () ->
+      Solver.set_context_var_cap 200_000;
+      Solver.reset_all_for_tests ())
+    (fun () ->
+      Solver.set_context_var_cap 16;
+      let cases =
+        QCheck2.Gen.generate ~n:60 ~rand:(Random.State.make [| 0x2ec7c |])
+          gen_case
+      in
+      Alcotest.(check bool)
+        "every case agrees with scratch" true
+        (List.for_all run_differential cases);
+      Alcotest.(check bool)
+        "contexts were recycled" true
+        ((Solver.stats ()).Solver.context_resets > 0))
 
 (* The same property exercised from several domains at once: each worker
    owns a private frame context (Domain.DLS), so agreement must hold under
@@ -118,13 +138,11 @@ let test_differential_parallel () =
   in
   let shards = 4 in
   let results =
-    (* the outer wrap keeps the global toggle stable while workers run *)
-    with_incremental true (fun () ->
-        List.init shards (fun s ->
-            Domain.spawn (fun () ->
-                List.filteri (fun i _ -> i mod shards = s) cases
-                |> List.for_all run_differential))
-        |> List.map Domain.join)
+    List.init shards (fun s ->
+        Domain.spawn (fun () ->
+            List.filteri (fun i _ -> i mod shards = s) cases
+            |> List.for_all run_differential))
+    |> List.map Domain.join
   in
   Alcotest.(check (list bool))
     "every shard agrees with scratch"
@@ -142,19 +160,16 @@ let qcheck_pop_restores_verdicts =
     QCheck2.Gen.(triple (list_size (int_bound 4) gen_atom) gen_atom
                    (list_size (int_bound 3) gen_atom))
     (fun (base_atoms, pushed_atom, probe_atoms) ->
-      with_sharing true (fun () ->
-          let vars = make_vars () in
-          let c = Solver.Frames.create () in
-          List.iter
-            (fun a -> Solver.Frames.push c (build_atom vars a))
-            base_atoms;
-          let probes = List.map (fun a -> [ build_atom vars a ]) probe_atoms in
-          let before = List.map (fun p -> verdict (Solver.Frames.check c p)) probes in
-          Solver.Frames.push c (build_atom vars pushed_atom);
-          ignore (List.map (fun p -> Solver.Frames.check c p) probes);
-          Solver.Frames.pop c;
-          let after = List.map (fun p -> verdict (Solver.Frames.check c p)) probes in
-          before = after))
+      let vars = make_vars () in
+      let c = Solver.Frames.create () in
+      List.iter (fun a -> Solver.Frames.push c (build_atom vars a)) base_atoms;
+      let probes = List.map (fun a -> [ build_atom vars a ]) probe_atoms in
+      let before = List.map (fun p -> verdict (Solver.Frames.check c p)) probes in
+      Solver.Frames.push c (build_atom vars pushed_atom);
+      ignore (List.map (fun p -> Solver.Frames.check c p) probes);
+      Solver.Frames.pop c;
+      let after = List.map (fun p -> verdict (Solver.Frames.check c p)) probes in
+      before = after)
 
 let test_set_path_mirrors_stack () =
   let vars = make_vars () in
@@ -246,56 +261,34 @@ let test_unsat_core_localizes () =
    next check then lazily rebuilds a fresh, correct context). *)
 let test_clear_cache_resets_contexts () =
   Solver.reset_all_for_tests ();
-  with_incremental true (fun () ->
-      let vars = make_vars () in
-      let probe d =
-        [ Term.eq vars.(0) (Term.int ~width:8 d) ]
-      in
-      let workers =
-        List.init 2 (fun d ->
-            Domain.spawn (fun () ->
-                match Solver.check_assuming ~path:(probe d) [ Term.ult vars.(1) vars.(2) ] with
-                | Solver.Sat _ -> true
-                | _ -> false))
-      in
-      let worker_ok = List.map Domain.join workers in
-      Alcotest.(check (list bool)) "workers answered" [ true; true ] worker_ok;
-      Alcotest.(check bool)
-        "workers allocated incremental contexts" true
-        (Solver.aggregate_incremental_contexts () >= 2);
-      Solver.clear_cache ();
-      Alcotest.(check int)
-        "clear_cache retires every context" 0
-        (Solver.aggregate_incremental_contexts ());
-      (* and the lazily-rebuilt context still answers correctly *)
-      match
-        Solver.check_assuming ~path:(probe 7)
-          [ Term.eq vars.(0) (Term.int ~width:8 9) ]
-      with
-      | Solver.Unsat -> ()
-      | _ -> Alcotest.fail "rebuilt context must still refute x=7 /\\ x=9");
+  let vars = make_vars () in
+  let probe d = [ Term.eq vars.(0) (Term.int ~width:8 d) ] in
+  let workers =
+    List.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            match
+              Solver.check_assuming ~path:(probe d) [ Term.ult vars.(1) vars.(2) ]
+            with
+            | Solver.Sat _ -> true
+            | _ -> false))
+  in
+  let worker_ok = List.map Domain.join workers in
+  Alcotest.(check (list bool)) "workers answered" [ true; true ] worker_ok;
+  Alcotest.(check bool)
+    "workers allocated incremental contexts" true
+    (Solver.aggregate_incremental_contexts () >= 2);
+  Solver.clear_cache ();
+  Alcotest.(check int)
+    "clear_cache retires every context" 0
+    (Solver.aggregate_incremental_contexts ());
+  (* and the lazily-rebuilt context still answers correctly *)
+  (match
+     Solver.check_assuming ~path:(probe 7)
+       [ Term.eq vars.(0) (Term.int ~width:8 9) ]
+   with
+  | Solver.Unsat -> ()
+  | _ -> Alcotest.fail "rebuilt context must still refute x=7 /\\ x=9");
   Solver.reset_all_for_tests ()
-
-(* --- escape hatch ------------------------------------------------------------ *)
-
-let test_incremental_toggle () =
-  with_incremental false (fun () ->
-      Solver.reset_all_for_tests ();
-      let vars = make_vars () in
-      (* with incrementality off, check_assuming takes the scratch route and
-         allocates no context *)
-      (match
-         Solver.check_assuming
-           ~path:[ Term.ult vars.(0) vars.(1) ]
-           [ Term.ult vars.(1) vars.(0) ]
-       with
-      | Solver.Unsat -> ()
-      | _ -> Alcotest.fail "scratch fallback must refute x<y /\\ y<x");
-      Alcotest.(check int) "no incremental context allocated" 0
-        (Solver.aggregate_incremental_contexts ());
-      Alcotest.(check bool) "last_assumption_core disabled" true
-        (Solver.last_assumption_core () = None);
-      Solver.reset_all_for_tests ())
 
 let () =
   let qsuite name tests =
@@ -304,11 +297,16 @@ let () =
   Alcotest.run "incremental"
     [
       qsuite "differential"
-        [ qcheck_differential_sharing_on; qcheck_differential_sharing_off ];
+        [ qcheck_differential; qcheck_differential_cross_domain ];
       ( "parallel",
         [
           Alcotest.test_case "agreement across 4 domains" `Quick
             test_differential_parallel;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "agreement under a tiny variable cap" `Quick
+            test_differential_recycled;
         ] );
       qsuite "frames" [ qcheck_pop_restores_verdicts ];
       ( "frame-stack",
@@ -327,7 +325,5 @@ let () =
         [
           Alcotest.test_case "clear_cache resets all contexts" `Quick
             test_clear_cache_resets_contexts;
-          Alcotest.test_case "incremental off = scratch route" `Quick
-            test_incremental_toggle;
         ] );
     ]

@@ -148,18 +148,18 @@ let test_incremental_budget () =
   Solver.reset_all_for_tests ();
   let x = Term.fresh_var ~name:"rbi_x" (Term.Bitvec 8) in
   let y = Term.fresh_var ~name:"rbi_y" (Term.Bitvec 8) in
-  let session = Solver.Incremental.create () in
-  Solver.Incremental.assert_always session
-    (Term.eq (Term.bxor (Term.var x) (Term.var y)) (Term.int ~width:8 5));
+  let path =
+    [ Term.eq (Term.bxor (Term.var x) (Term.var y)) (Term.int ~width:8 5) ]
+  in
   let q = [ Term.eq (Term.add (Term.var x) (Term.var y)) (Term.int ~width:8 9) ] in
   Solver.set_budget (Some (Solver.budget ~conflicts:0 ~escalations:1 ()));
   Fun.protect
     ~finally:(fun () -> Solver.set_budget None)
     (fun () ->
-      match Solver.Incremental.check session q with
+      match Solver.check_assuming ~path q with
       | Solver.Unknown -> ()
-      | _ -> Alcotest.fail "expected Unknown from a zero-budget session");
-  match Solver.Incremental.check session q with
+      | _ -> Alcotest.fail "expected Unknown from a zero-budget frame context");
+  match Solver.check_assuming ~path q with
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "expected Sat once the budget is lifted"
 
@@ -305,30 +305,17 @@ let qcheck_fault_superset =
       if not (Search.coverage_complete clean.Search.coverage) then false
       else begin
         let clean_labels = trojan_labels clean in
-        (* each chaos configuration runs on both solver routes: the default
-           assumption-based frame contexts and the scratch-instance fallback
-           ([--no-incremental]); degraded answers must over-approximate on
-           either one *)
-        let faulty_ok (domains, seed, incremental) =
-          let prev = Solver.incremental_enabled () in
+        let faulty_ok (domains, seed) =
           Solver.set_fault_injection ~rate:0.3 ~seed ();
-          Solver.set_incremental incremental;
           let faulty =
             Fun.protect
-              ~finally:(fun () ->
-                Solver.set_fault_injection ();
-                Solver.set_incremental prev)
+              ~finally:(fun () -> Solver.set_fault_injection ())
               (fun () ->
                 run_case
                   ~config:{ Search.default_config with Search.domains }
                   ~base client server)
           in
-          let inc = (Solver.aggregate_stats ()).Solver.incremental_checks in
           let faulty_labels = trojan_labels faulty in
-          (* the toggle really selects the route: the scratch leg must never
-             touch a frame context *)
-          (incremental || inc = 0)
-          &&
           (* every fault-free trojan state is still reported… *)
           List.for_all (fun l -> List.mem l faulty_labels) clean_labels
           (* …faults never make coverage incomplete (they degrade answers,
@@ -342,8 +329,7 @@ let qcheck_fault_superset =
                  || faulty.Search.coverage.Search.unknown_witness > 0)
                faulty.Search.trojans
         in
-        List.for_all faulty_ok
-          [ (1, 7, true); (4, 42, true); (1, 7, false); (4, 42, false) ]
+        List.for_all faulty_ok [ (1, 7); (4, 42) ]
       end)
 
 let qcheck_budget_superset =
@@ -354,30 +340,19 @@ let qcheck_budget_superset =
       let client, server, base = extract_case case in
       let clean = run_case ~base client server in
       let clean_labels = trojan_labels clean in
-      (* starvation must stay an over-approximation on both solver routes:
-         a frame context that runs out of rungs degrades exactly as soundly
-         as a starved scratch instance *)
-      let starved_ok incremental =
-        let prev = Solver.incremental_enabled () in
-        Solver.set_incremental incremental;
-        let starved =
-          Fun.protect
-            ~finally:(fun () -> Solver.set_incremental prev)
-            (fun () ->
-              run_case
-                ~config:
-                  {
-                    Search.default_config with
-                    Search.solver_budget =
-                      Some (Solver.budget ~conflicts:0 ~escalations:1 ());
-                  }
-                ~base client server)
-        in
-        let starved_labels = trojan_labels starved in
-        List.for_all (fun l -> List.mem l starved_labels) clean_labels
-        && Search.coverage_complete starved.Search.coverage
+      let starved =
+        run_case
+          ~config:
+            {
+              Search.default_config with
+              Search.solver_budget =
+                Some (Solver.budget ~conflicts:0 ~escalations:1 ());
+            }
+          ~base client server
       in
-      starved_ok true && starved_ok false)
+      let starved_labels = trojan_labels starved in
+      List.for_all (fun l -> List.mem l starved_labels) clean_labels
+      && Search.coverage_complete starved.Search.coverage)
 
 (* --- shard chaos: retry and failure isolation -------------------------------- *)
 
@@ -578,20 +553,14 @@ let test_fsp_under_faults () =
   let clean = run_case ~config:(fsp_config ~domains:4) ~base client server_fsp in
   let clean_states = distinct_trojan_states clean in
   Solver.set_fault_injection ~rate:0.05 ~seed:0xf5b ();
-  (* pin the frame-context route for the chaos run, so the drill stays
-     meaningful when the suite runs under ACHILLES_INCREMENTAL=0 *)
-  let prev_incremental = Solver.incremental_enabled () in
-  Solver.set_incremental true;
   let faulty =
     Fun.protect
-      ~finally:(fun () ->
-        Solver.set_fault_injection ();
-        Solver.set_incremental prev_incremental)
+      ~finally:(fun () -> Solver.set_fault_injection ())
       (fun () ->
         run_case ~config:(fsp_config ~domains:4) ~base client server_fsp)
   in
-  (* the chaos run really went down the route under test: frame contexts
-     decided queries while faults were being injected into them *)
+  (* frame contexts decided queries while faults were being injected into
+     them *)
   let s = Solver.aggregate_stats () in
   Alcotest.(check bool) "faults landed on the incremental path" true
     (s.Solver.injected_faults > 0 && s.Solver.incremental_checks > 0);

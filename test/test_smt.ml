@@ -341,41 +341,52 @@ let test_solver_unknown_on_budget () =
   | Solver.Unknown | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "factoring 0x6E0F is satisfiable"
 
-(* --- incremental sessions ------------------------------------------------------ *)
+(* --- incremental frame contexts ---------------------------------------------- *)
 
 let test_incremental_basic () =
   let x = fresh8 "ix" in
   let vx = Term.var x in
-  let s = Solver.Incremental.create () in
-  Solver.Incremental.assert_always s (Term.ult vx (t8 10));
-  Alcotest.(check bool) "x<10, x=5 sat" true
-    (Solver.Incremental.is_sat s [ Term.eq vx (t8 5) ]);
-  Alcotest.(check bool) "x<10, x=20 unsat" true
-    (Solver.Incremental.is_unsat s [ Term.eq vx (t8 20) ]);
-  (* the session survives an unsat answer under assumptions *)
-  Alcotest.(check bool) "x=3 sat afterwards" true
-    (Solver.Incremental.is_sat s [ Term.eq vx (t8 3) ]);
-  (* growing the permanent part mid-session *)
-  Solver.Incremental.assert_always s (Term.ugt vx (t8 3));
-  Alcotest.(check bool) "x=3 now unsat" true
-    (Solver.Incremental.is_unsat s [ Term.eq vx (t8 3) ]);
-  Alcotest.(check bool) "x=7 still sat" true
-    (Solver.Incremental.is_sat s [ Term.eq vx (t8 7) ])
+  let c = Solver.Frames.create () in
+  let is_sat terms = Solver.Frames.is_sat c terms in
+  let is_unsat terms =
+    match Solver.Frames.check c terms with
+    | Solver.Unsat -> true
+    | Solver.Sat _ | Solver.Unknown -> false
+  in
+  Solver.Frames.push c (Term.ult vx (t8 10));
+  Alcotest.(check bool) "x<10, x=5 sat" true (is_sat [ Term.eq vx (t8 5) ]);
+  Alcotest.(check bool) "x<10, x=20 unsat" true (is_unsat [ Term.eq vx (t8 20) ]);
+  (* the context survives an unsat answer under assumptions *)
+  Alcotest.(check bool) "x=3 sat afterwards" true (is_sat [ Term.eq vx (t8 3) ]);
+  (* a deeper frame narrows every later check *)
+  Solver.Frames.push c (Term.ugt vx (t8 3));
+  Alcotest.(check bool) "x=3 now unsat" true (is_unsat [ Term.eq vx (t8 3) ]);
+  Alcotest.(check bool) "x=7 still sat" true (is_sat [ Term.eq vx (t8 7) ]);
+  (* and leaving it restores the wider frame *)
+  Solver.Frames.pop c;
+  Alcotest.(check bool) "x=3 sat after pop" true (is_sat [ Term.eq vx (t8 3) ])
 
+(* Frame checks are verdict-only: [Sat] carries no model, so witnesses come
+   from the scratch solver, whose model must satisfy the same conjunction. *)
 let test_incremental_models () =
   let x = fresh8 "imx" in
   let vx = Term.var x in
-  let s = Solver.Incremental.create () in
-  Solver.Incremental.assert_always s (Term.ult vx (t8 50));
-  match Solver.Incremental.check s [ Term.ugt vx (t8 40) ] with
+  let c = Solver.Frames.create () in
+  Solver.Frames.push c (Term.ult vx (t8 50));
+  (match Solver.Frames.check c [ Term.ugt vx (t8 40) ] with
+  | Solver.Sat m ->
+      Alcotest.(check bool) "frame Sat carries an empty model" true
+        (Model.bindings m = [])
+  | _ -> Alcotest.fail "expected SAT from the frame context");
+  match Solver.check (Term.ugt vx (t8 40) :: Solver.Frames.path c) with
   | Solver.Sat m ->
       let value = Model.eval_bv m vx in
       Alcotest.(check bool) "model within both bounds" true
         (Bv.ult value (Bv.of_int ~width:8 50) && Bv.ult (Bv.of_int ~width:8 40) value)
-  | _ -> Alcotest.fail "expected SAT"
+  | _ -> Alcotest.fail "expected SAT from the scratch solver"
 
 (* incremental answers must agree with one-shot solving on random query
-   sequences over shared permanent constraints *)
+   sequences over shared frames *)
 let qcheck_incremental_matches_oneshot =
   let gen =
     QCheck2.Gen.(
@@ -391,17 +402,15 @@ let qcheck_incremental_matches_oneshot =
     (fun (lo, hi, queries) ->
       let x = Term.fresh_var ~name:"qix" (Term.Bitvec 8) in
       let vx = Term.var x in
-      let permanent =
-        [ Term.ule (t8 lo) vx; Term.ule vx (t8 hi) ]
-      in
-      let session = Solver.Incremental.create () in
-      List.iter (Solver.Incremental.assert_always session) permanent;
+      let frames = [ Term.ule (t8 lo) vx; Term.ule vx (t8 hi) ] in
+      let c = Solver.Frames.create () in
+      List.iter (Solver.Frames.push c) frames;
       List.for_all
         (fun (a, b) ->
           let extra = [ Term.uge vx (t8 a); Term.ule vx (t8 b) ] in
-          let incremental = Solver.Incremental.is_sat session extra in
+          let incremental = Solver.Frames.is_sat c extra in
           Solver.set_cache_enabled false;
-          let oneshot = Solver.is_sat (extra @ permanent) in
+          let oneshot = Solver.is_sat (extra @ frames) in
           Solver.set_cache_enabled true;
           incremental = oneshot)
         queries)
