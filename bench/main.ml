@@ -48,7 +48,7 @@ let write_bench_json name fields =
       let path = Filename.concat dir name in
       let oc = open_out path in
       let module J = Achilles_obs.Obs.Json in
-      output_string oc (J.to_string (J.VObj fields));
+      output_string oc (J.to_string (J.Obj fields));
       output_string oc "\n";
       close_out oc;
       Format.printf "  (json written to %s)@." path
@@ -971,15 +971,15 @@ let experiment_slice () =
       in
       let json mode row =
         let module J = Achilles_obs.Obs.Json in
-        J.VObj
-          (("target", J.VStr "fsp")
-          :: ("domains", J.VNum (float_of_int domains))
-          :: ("slice", J.VStr mode)
+        J.Obj
+          (("target", J.Str "fsp")
+          :: ("domains", J.Num (float_of_int domains))
+          :: ("slice", J.Str mode)
           :: List.map
                (fun (k, v) ->
                  match float_of_string_opt v with
-                 | Some f -> (k, J.VNum f)
-                 | None -> (k, J.VStr v))
+                 | Some f -> (k, J.Num f)
+                 | None -> (k, J.Str v))
                row)
       in
       rows := csv "off" off :: csv "on" on :: !rows;
@@ -997,7 +997,7 @@ let experiment_slice () =
     (List.rev !rows);
   (let module J = Achilles_obs.Obs.Json in
    write_bench_json "BENCH_E18.json"
-     [ ("experiment", J.VStr "slice"); ("rows", J.VArr (List.rev !jrows)) ]);
+     [ ("experiment", J.Str "slice"); ("rows", J.Arr (List.rev !jrows)) ]);
   csv_dir := saved;
   if !failed then exit 1
 
@@ -1401,15 +1401,15 @@ let experiment_serve () =
   (let module J = Achilles_obs.Obs.Json in
    write_bench_json "BENCH_E17.json"
      [
-       ("experiment", J.VStr "serve");
-       ("filter_messages", J.VNum (float_of_int n_filter));
-       ("filter_seconds", J.VNum filter_s);
-       ("filter_msgs_per_sec", J.VNum filter_rate);
-       ("baseline_messages", J.VNum (float_of_int n_baseline));
-       ("baseline_seconds", J.VNum baseline_s);
-       ("baseline_msgs_per_sec", J.VNum baseline_rate);
-       ("speedup_vs_baseline", J.VNum speedup);
-       ("mismatches", J.VNum (float_of_int !mismatches));
+       ("experiment", J.Str "serve");
+       ("filter_messages", J.Num (float_of_int n_filter));
+       ("filter_seconds", J.Num filter_s);
+       ("filter_msgs_per_sec", J.Num filter_rate);
+       ("baseline_messages", J.Num (float_of_int n_baseline));
+       ("baseline_seconds", J.Num baseline_s);
+       ("baseline_msgs_per_sec", J.Num baseline_rate);
+       ("speedup_vs_baseline", J.Num speedup);
+       ("mismatches", J.Num (float_of_int !mismatches));
      ]);
   if !mismatches > 0 then begin
     Format.eprintf "serve: filter and baseline verdicts diverged@.";
@@ -1732,16 +1732,16 @@ let experiment_telemetry () =
   (let module J = Obs.Json in
    write_bench_json "BENCH_E19.json"
      [
-       ("experiment", J.VStr "telemetry");
-       ("messages_per_pass", J.VNum (float_of_int n));
-       ("passes", J.VNum (float_of_int reps));
-       ("off_seconds", J.VNum off_s);
-       ("off_msgs_per_sec", J.VNum rate_off);
-       ("on_seconds", J.VNum on_s);
-       ("on_msgs_per_sec", J.VNum rate_on);
-       ("overhead_pct", J.VNum (100. *. overhead));
-       ("concurrent_scrapes", J.VNum (float_of_int scrapes));
-       ("counters_consistent", J.VBool (not !failed));
+       ("experiment", J.Str "telemetry");
+       ("messages_per_pass", J.Num (float_of_int n));
+       ("passes", J.Num (float_of_int reps));
+       ("off_seconds", J.Num off_s);
+       ("off_msgs_per_sec", J.Num rate_off);
+       ("on_seconds", J.Num on_s);
+       ("on_msgs_per_sec", J.Num rate_on);
+       ("overhead_pct", J.Num (100. *. overhead));
+       ("concurrent_scrapes", J.Num (float_of_int scrapes));
+       ("counters_consistent", J.Bool (not !failed));
      ]);
   csv_dir := saved;
   if !failed then exit 1

@@ -747,7 +747,7 @@ let worker workdir wid epoch =
   (* the coordinator writes the manifest before spawning anyone, so a
      short wait only covers slow filesystems *)
   let rec wait_manifest tries =
-    match Dist.Lease.read_file manifest_path with
+    match Sealed.read manifest_path with
     | Some content -> Some content
     | None ->
         if tries <= 0 then None
@@ -761,11 +761,16 @@ let worker workdir wid epoch =
       Format.eprintf "achilles worker: no manifest in %s@." workdir;
       2
   | Some content -> (
-      match (Marshal.from_string content 0 : manifest) with
-      | exception _ ->
-          Format.eprintf "achilles worker: unreadable manifest in %s@." workdir;
+      match
+        Result.bind (Dist.Lease.unseal_manifest content) (fun payload ->
+            try Ok (Marshal.from_string payload 0 : manifest)
+            with Failure _ | Invalid_argument _ -> Error "undecodable parameters")
+      with
+      | Error reason ->
+          Format.eprintf "achilles worker: unreadable manifest in %s (%s)@."
+            workdir reason;
           2
-      | mf ->
+      | Ok mf ->
           Obs.set_identity ~run_id:mf.mf_run_id
             ~proc:(Printf.sprintf "worker-%03d" wid);
           if mf.mf_trace then

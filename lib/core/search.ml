@@ -814,20 +814,21 @@ module String_set = Set.Make (String)
 
 (* --- shard checkpoints ------------------------------------------------------
 
-   Each completed shard's event log is flushed to its own file, written to a
-   temporary name, fsynced, and renamed — atomic on POSIX — with the
-   containing directory fsynced after the rename, so a run killed at any
-   moment (including SIGKILL or power loss) leaves only whole, durable
-   shard files behind. The payload carries its own digest: a torn or
-   bit-rotted file is detected on load and treated as missing (the shard is
-   re-explored with a warning), never trusted and never fatal. [resume]
-   then re-explores exactly the missing shards: because every shard task
-   replays the same fresh-variable base and owns disjoint routes, a merge
-   of loaded and re-explored shards is indistinguishable from an
-   uninterrupted run (the determinism guarantee extends across process
-   boundaries). *)
+   Each completed shard's event log is flushed to its own file through
+   [Sealed.write] (durable: fsync, rename, directory fsync), so a run
+   killed at any moment (including SIGKILL or power loss) leaves only
+   whole, durable shard files behind. The file is a [Sealed] frame: a torn
+   or bit-rotted file is detected on load and treated as missing (the
+   shard is re-explored with a warning), never trusted and never fatal.
+   [resume] then re-explores exactly the missing shards: because every
+   shard task replays the same fresh-variable base and owns disjoint
+   routes, a merge of loaded and re-explored shards is indistinguishable
+   from an uninterrupted run (the determinism guarantee extends across
+   process boundaries). *)
 
-let ckpt_magic = "ACHILLES-CKPT-2"
+(* third checkpoint format; files of the second ([ACHILLES-CKPT-2]) fail
+   as "bad magic" and their shards are re-explored *)
+let ckpt_magic = "ACHCKP03"
 
 (* Identity of a run for resume purposes: everything that changes the shard
    decomposition or per-shard event logs. Closure-valued config fields
@@ -868,38 +869,20 @@ let run_fingerprint ~bits ~config ~client ~server =
 let shard_file dir idx =
   Filename.concat dir (Printf.sprintf "shard-%04d.ckpt" idx)
 
-(* Flush [fd], then its durability: an atomic rename only orders the
-   *names*; the bytes (and the new directory entry) still have to reach the
-   platter before a crash may assume the checkpoint exists. Filesystems
-   that refuse fsync on directories (some network mounts) degrade to the
-   rename-only guarantee. *)
-let fsync_noerr fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      fsync_noerr fd;
-      Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
-let write_checkpoint_file ~file ~fingerprint ~idx (recorder, counter) =
+(* Sealed payload: u32 fingerprint length | fingerprint | u32 shard index |
+   Marshal'd (recorder, counter). The run identity sits in front of the
+   Marshal bytes so a foreign checkpoint is refused before it is
+   unmarshalled. *)
+let write_checkpoint_file ~file ~fingerprint ~idx (out : recorder * int) =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
     Obs.emit ~kind:"checkpoint" ~name:"write" ~args:[ ("index", Obs.I idx) ] ();
-  (* pid-qualified temp name: two processes racing the same shard (a
-     presumed-dead worker and its replacement) must never interleave writes
-     into one temp file *)
-  let tmp = Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ()) idx in
-  let payload = Marshal.to_string (recorder, counter) [] in
-  let oc = open_out_bin tmp in
-  Marshal.to_channel oc
-    (ckpt_magic, fingerprint, idx, Digest.string payload, payload)
-    [];
-  flush oc;
-  fsync_noerr (Unix.descr_of_out_channel oc);
-  close_out oc;
-  Sys.rename tmp file;
-  fsync_dir (Filename.dirname file)
+  let buf = Buffer.create 4096 in
+  Buffer.add_int32_be buf (Int32.of_int (String.length fingerprint));
+  Buffer.add_string buf fingerprint;
+  Buffer.add_int32_be buf (Int32.of_int idx);
+  Buffer.add_string buf (Marshal.to_string out []);
+  Sealed.write ~path:file (Sealed.seal ~magic:ckpt_magic (Buffer.contents buf))
 
 let write_shard_checkpoint ~dir ~fingerprint ~idx out =
   write_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx out
@@ -925,11 +908,11 @@ let rebuild_recorder r =
       r.rec_drops;
   r
 
-(* A checkpoint that fails any validation step — bad magic, wrong
-   fingerprint or index, short read, payload digest mismatch, Marshal
-   failure — is treated as missing: the shard is recomputed. A killed or
-   corrupted writer must degrade [--resume] to extra work, never crash it
-   or poison the merge. *)
+(* A checkpoint that fails any validation step — a frame refused by
+   [Sealed.unseal], wrong fingerprint or index, Marshal failure — is
+   treated as missing: the shard is recomputed. A killed or corrupted
+   writer must degrade [--resume] to extra work, never crash it or poison
+   the merge. *)
 let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
   Obs.span Obs.Checkpoint_io @@ fun () ->
   if Obs.live () then
@@ -953,66 +936,39 @@ let load_checkpoint_file ~file ~fingerprint ~idx : (recorder * int) option =
         ();
       None
     in
-    match
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          (Marshal.from_channel ic
-            : string * string * int * Digest.t * string))
-    with
-    | exception _ -> corrupt "unreadable header (torn or foreign file)"
-    | magic, _, _, _, _ when magic <> ckpt_magic -> corrupt "bad magic"
-    | _, fp, _, _, _ when fp <> fingerprint -> corrupt "fingerprint mismatch"
-    | _, _, i, _, _ when i <> idx -> corrupt "shard index mismatch"
-    | _, _, _, digest, payload when not (Digest.equal digest (Digest.string payload))
-      ->
-        corrupt "payload digest mismatch"
-    | _, _, _, _, payload -> (
-        match (Marshal.from_string payload 0 : recorder * int) with
-        | r, c -> Some (rebuild_recorder r, c)
-        | exception _ -> corrupt "payload unmarshal failure")
+    match Option.map (Sealed.unseal ~magic:ckpt_magic) (Sealed.read file) with
+    | None -> corrupt "unreadable"
+    | Some (Error reason) -> corrupt reason
+    | Some (Ok payload) -> (
+        let n = String.length payload in
+        let fp_end =
+          if n < 4 then n
+          else 4 + (Int32.to_int (String.get_int32_be payload 0) land 0xFFFF_FFFF)
+        in
+        if fp_end + 4 > n then corrupt "malformed header"
+        else if String.sub payload 4 (fp_end - 4) <> fingerprint then
+          corrupt "fingerprint mismatch"
+        else if Int32.to_int (String.get_int32_be payload fp_end) <> idx then
+          corrupt "shard index mismatch"
+        else
+          match (Marshal.from_string payload (fp_end + 4) : recorder * int) with
+          | r, c -> Some (rebuild_recorder r, c)
+          | exception _ -> corrupt "payload unmarshal failure")
   end
 
 let load_shard_checkpoint ~dir ~fingerprint ~idx =
   load_checkpoint_file ~file:(shard_file dir idx) ~fingerprint ~idx
 
-(* A writer killed between creating its temp file and the rename leaves the
-   temp behind; left alone, those accumulate and (worse) a matching-name
-   temp from a dead pid could be confused for live work. Startup owns the
-   directory (single run per dir), so any [*.tmp.*] is garbage by
-   definition. *)
-let clean_stale_tmp_files dir =
-  Array.iter
-    (fun name ->
-      let full = Filename.concat dir name in
-      let is_tmp =
-        (* shard-NNNN.ckpt.tmp.<pid>.<idx> (and the pre-durability
-           shard-NNNN.ckpt.tmp.<idx> form) *)
-        match String.index_opt name '.' with
-        | None -> false
-        | Some _ ->
-            String.length name > 4
-            &&
-            let rec find_sub i =
-              if i + 5 > String.length name then false
-              else if String.sub name i 5 = ".tmp." then true
-              else find_sub (i + 1)
-            in
-            find_sub 0
-      in
-      if is_tmp && not (Sys.is_directory full) then begin
-        Obs.count "checkpoint.stale_tmp_removed";
-        (try Sys.remove full with Sys_error _ -> ())
-      end)
-    (try Sys.readdir dir with Sys_error _ -> [||])
-
+(* Startup owns the directory (single run per dir), so every temp a killed
+   writer left behind is garbage by definition. *)
 let ensure_checkpoint_dir dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
     invalid_arg
       (Printf.sprintf "Search: checkpoint dir %S is not a directory" dir)
-  else clean_stale_tmp_files dir
+  else
+    let removed = Sealed.sweep dir in
+    if removed > 0 then Obs.count ~n:removed "checkpoint.stale_tmp_removed"
 
 let ceil_log2 n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in

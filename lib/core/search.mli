@@ -230,8 +230,9 @@ module Shards : sig
       fingerprint is never merged. *)
 
   val prepare_dir : string -> unit
-  (** Create the directory if needed and delete stale [*.tmp.*] leftovers
-      from killed writers. Call once per run, before any worker writes. *)
+  (** Create the directory if needed and delete the temps killed writers
+      left behind ({!Sealed.sweep}). Call once per run, before any worker
+      writes. *)
 
   val explore :
     config:config ->
@@ -249,13 +250,16 @@ module Shards : sig
       log must neither be written nor merged. *)
 
   val write : file:string -> fingerprint:string -> idx:int -> out -> unit
-  (** Durable atomic checkpoint: marshal to a pid-qualified temp file,
-      fsync, rename into place, fsync the directory. *)
+  (** Durable atomic checkpoint: a {!Sealed} frame (magic [ACHCKP03])
+      around the run fingerprint, the shard index and the Marshal'd log,
+      written with {!Sealed.write}. *)
 
   val load : file:string -> fingerprint:string -> idx:int -> out option
-  (** [None] if the file is missing, torn, corrupt (payload digest
-      mismatch), or belongs to a different run or shard — with a warning
-      and a ["checkpoint.corrupt"] count for everything but absence. *)
+  (** [None] if the file is missing, refused by {!Sealed.unseal} (torn,
+      foreign, old format, digest mismatch), or belongs to a different run
+      or shard — with a warning and a ["checkpoint.corrupt"] count for
+      everything but absence. Fingerprint and index are checked before
+      the log is unmarshalled. *)
 
   val merge :
     total:int ->

@@ -17,6 +17,7 @@
    `achilles worker` processes — the protocol is identical either way. *)
 
 module Search = Achilles_core.Search
+module Sealed = Achilles_core.Sealed
 module Obs = Achilles_obs.Obs
 
 type worker_handle = {
@@ -166,10 +167,11 @@ let run ?(config = default_config) ?run_id ~workdir ~job ~spawn ?manifest () =
   (* drop any traffic left over from a previous incarnation — a stale
      Drain in an outbox would make every fresh worker quit on arrival *)
   Lease.purge_mailboxes workdir;
-  (* prepare_dir also sweeps stale *.tmp.* left by killed writers *)
+  Lease.sweep_temps workdir;
   Search.Shards.prepare_dir (Lease.shards_dir workdir);
   (match manifest with
-  | Some content -> Lease.atomic_write ~path:(Lease.manifest_file workdir) content
+  | Some content ->
+      Sealed.write ~path:(Lease.manifest_file workdir) (Lease.seal_manifest content)
   | None -> ());
   let total = 1 lsl job.Worker.j_bits in
   let table = Lease.Table.create ~shards:total ~budget:config.c_reassign_budget in

@@ -54,9 +54,10 @@ val run :
     is implicit: valid token-suffixed checkpoints already in
     [workdir/shards/] are merged without re-exploration, and tokens seen
     on disk raise the fencing floor so a previous incarnation's orphans
-    can never win a race. [manifest], when given, is written atomically
-    to [workdir/manifest] before any worker is spawned (process workers
-    read it to rebuild the job). [run_id] (default: the process identity's
+    can never win a race. Start-up sweeps the temps killed writers left
+    in every directory of the run. [manifest], when given, is sealed
+    ({!Lease.seal_manifest}) and written to [workdir/manifest] before any
+    worker is spawned (process workers read it to rebuild the job). [run_id] (default: the process identity's
     run id) is stamped into status.json; telemetry never affects the
     report. *)
 

@@ -1,16 +1,18 @@
-(* The substrate of the multi-process search protocol: atomic file
-   primitives, directory mailboxes, the wire messages, lease files, and the
-   coordinator's lease table with fencing tokens.
+(* The substrate of the multi-process search protocol: directory
+   mailboxes, the wire messages, lease files, and the coordinator's lease
+   table with fencing tokens.
 
-   Everything on disk is written via temp-file + rename, so a reader never
-   observes a torn file, and a writer killed at any instruction leaves
-   either the old state or the new — the same discipline as the shard
-   checkpoints. Fencing: every grant of a shard carries a token strictly
-   greater than any earlier grant of that shard; the coordinator accepts a
-   completion only from the current token, so two workers racing one shard
-   (a presumed-dead worker and its replacement) can never both merge. *)
+   Every file is written through [Sealed.write] (temp + fsync + rename +
+   directory fsync), so a reader never observes a torn file, and a writer
+   killed at any instruction leaves either the old state or the new —
+   the same discipline as the shard checkpoints. Fencing: every grant of a
+   shard carries a token strictly greater than any earlier grant of that
+   shard; the coordinator accepts a completion only from the current
+   token, so two workers racing one shard (a presumed-dead worker and its
+   replacement) can never both merge. *)
 
 module Obs = Achilles_obs.Obs
+module Sealed = Achilles_core.Sealed
 
 (* --- directory layout ------------------------------------------------------ *)
 
@@ -33,29 +35,14 @@ let ensure_dir dir =
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Dist: %S is not a directory" dir)
 
-(* --- atomic file write ----------------------------------------------------- *)
+(* --- the manifest -------------------------------------------------------
 
-let write_counter = Atomic.make 0
+   Whatever run parameters the coordinator's caller hands over, sealed so
+   a worker refuses a damaged or foreign manifest before unmarshalling it. *)
 
-let atomic_write ~path content =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add write_counter 1)
-  in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
-  Sys.rename tmp path
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  | exception Sys_error _ -> None
+let manifest_magic = "ACHMAN01"
+let seal_manifest payload = Sealed.seal ~magic:manifest_magic payload
+let unseal_manifest image = Sealed.unseal ~magic:manifest_magic image
 
 (* --- mailboxes -------------------------------------------------------------
 
@@ -79,8 +66,8 @@ module Mailbox = struct
         (Unix.getpid ())
         (Atomic.fetch_and_add t.seq 1)
     in
-    (try atomic_write ~path:(Filename.concat t.dir name) line
-     with Sys_error _ | Unix.Unix_error _ -> ())
+    (try Sealed.write ~path:(Filename.concat t.dir name) line
+     with Sys_error _ -> ())
   (* a vanished mailbox means the peer is gone; the caller's liveness
      checks handle that, a send must not crash the sender *)
 
@@ -93,37 +80,42 @@ module Mailbox = struct
         |> List.filter_map (fun name ->
                if Filename.check_suffix name ".msg" then begin
                  let path = Filename.concat t.dir name in
-                 let content = read_file path in
+                 let content = Sealed.read path in
                  (try Sys.remove path with Sys_error _ -> ());
                  content
                end
                else None)
 end
 
+let mailbox_dirs workdir =
+  inbox_dir workdir
+  :: (match Sys.readdir workdir with
+     | exception Sys_error _ -> []
+     | names ->
+         Array.to_list names
+         |> List.filter (String.starts_with ~prefix:"outbox-")
+         |> List.map (Filename.concat workdir))
+
 (* Mailbox contents are ephemeral protocol state — a restarting
    coordinator must not replay the previous incarnation's traffic (a
    leftover Drain in an outbox would make every fresh worker quit on
    arrival). Only checkpoints and lease files are durable. *)
 let purge_mailboxes workdir =
-  let purge dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> ()
-    | names ->
-        Array.iter
-          (fun name ->
-            if Filename.check_suffix name ".msg" then
-              try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-          names
-  in
-  purge (inbox_dir workdir);
-  match Sys.readdir workdir with
-  | exception Sys_error _ -> ()
-  | names ->
+  List.iter
+    (fun dir ->
       Array.iter
         (fun name ->
-          if String.length name >= 7 && String.sub name 0 7 = "outbox-" then
-            purge (Filename.concat workdir name))
-        names
+          if Filename.check_suffix name ".msg" then
+            try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]))
+    (mailbox_dirs workdir)
+
+(* A writer killed mid-write leaves its temp in whichever directory it was
+   writing; the starting coordinator owns all of them. *)
+let sweep_temps workdir =
+  List.iter
+    (fun dir -> ignore (Sealed.sweep dir))
+    (workdir :: leases_dir workdir :: mailbox_dirs workdir)
 
 (* --- wire messages ---------------------------------------------------------
 
@@ -226,7 +218,7 @@ let parse_to_worker line =
    incarnation could win a race against a fresh grant. *)
 
 let write_lease ~workdir ~shard ~token ~worker ~deadline =
-  atomic_write
+  Sealed.write
     ~path:(lease_file ~workdir ~shard)
     (Printf.sprintf "%d %d %.6f" token worker deadline)
 
@@ -234,7 +226,7 @@ let remove_lease ~workdir ~shard =
   try Sys.remove (lease_file ~workdir ~shard) with Sys_error _ -> ()
 
 let read_lease ~workdir ~shard =
-  match read_file (lease_file ~workdir ~shard) with
+  match Sealed.read (lease_file ~workdir ~shard) with
   | None -> None
   | Some content -> (
       match String.split_on_char ' ' (String.trim content) with

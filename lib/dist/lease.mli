@@ -1,5 +1,5 @@
-(** Substrate of the multi-process search: atomic file primitives,
-    directory mailboxes, wire messages, lease files, and the coordinator's
+(** Substrate of the multi-process search: directory mailboxes, wire
+    messages, the sealed manifest, lease files, and the coordinator's
     fencing-token lease table.
 
     The protocol is coordinator-authoritative: workers never take a shard
@@ -7,9 +7,11 @@
     fencing token strictly greater than any earlier grant of that shard.
     Completion is accepted only from the current token, so a
     presumed-dead worker finishing late can never race its replacement
-    into the merge. All disk writes go through temp-file + rename; a
-    writer killed at any instruction leaves either the old file or the
-    new one, never a torn read. *)
+    into the merge. Every file is written with
+    {!Achilles_core.Sealed.write}; a writer killed at any instruction
+    leaves either the old file or the new one, never a torn read.
+    Mailbox messages, lease files and [status.json] stay plain text, so
+    [cat] can debug a stuck run. *)
 
 (** {1 Directory layout}
 
@@ -37,13 +39,15 @@ val checkpoint_file : workdir:string -> shard:int -> token:int -> string
 val lease_file : workdir:string -> shard:int -> string
 val ensure_dir : string -> unit
 
-(** {1 Atomic files} *)
+(** {1 The manifest} *)
 
-val atomic_write : path:string -> string -> unit
-(** Write-to-temp, fsync, rename. The temp name is pid-qualified. *)
+val seal_manifest : string -> string
+(** Frame the coordinator's run parameters ({!Achilles_core.Sealed},
+    magic [ACHMAN01]). *)
 
-val read_file : string -> string option
-(** Whole-file read; [None] when missing or unreadable. *)
+val unseal_manifest : string -> (string, string) result
+(** The parameters back, or why the image was refused. A worker must not
+    unmarshal anything this refuses. *)
 
 (** {1 Mailboxes}
 
@@ -70,6 +74,12 @@ val purge_mailboxes : string -> unit
     contents are ephemeral protocol state, and replaying the previous
     incarnation's traffic (say, a leftover [Drain]) would poison the new
     run. Checkpoints and lease files are the only durable state. *)
+
+val sweep_temps : string -> unit
+(** Delete the temps a writer killed mid-write left in the work dir,
+    [leases/], the inbox and every outbox ({!Achilles_core.Sealed.sweep}).
+    [shards/] is swept by {!Achilles_core.Search.Shards.prepare_dir}. A
+    starting coordinator calls this before spawning anyone. *)
 
 (** {1 Wire messages} *)
 

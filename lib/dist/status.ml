@@ -2,7 +2,7 @@
 
    The coordinator aggregates worker telemetry snapshots (piggybacked on
    heartbeats) and mirrors the run's live state to [workdir/status.json]
-   via the same temp-file + rename discipline as checkpoints, so `achilles
+   through [Sealed.write], like every other file of the run, so `achilles
    status` can render a consistent picture of a live run — or the last
    known picture of a crashed one — without talking to any process. *)
 
@@ -49,17 +49,17 @@ let cache_hit_rate t =
 
 let to_json t =
   let open Obs.Json in
-  let num f = VNum f in
-  let int i = VNum (float_of_int i) in
-  VObj
+  let num f = Num f in
+  let int i = Num (float_of_int i) in
+  Obj
     [
       ("version", int version);
-      ("run_id", VStr t.s_run_id);
-      ("state", VStr t.s_state);
+      ("run_id", Str t.s_run_id);
+      ("state", Str t.s_state);
       ("updated", num t.s_updated);
       ("started", num t.s_started);
       ( "shards",
-        VObj
+        Obj
           [
             ("total", int t.s_shards_total);
             ("done", int t.s_done);
@@ -69,7 +69,7 @@ let to_json t =
           ] );
       ("reassignments", int t.s_reassignments);
       ( "solver",
-        VObj
+        Obj
           [
             ("queries", int t.s_queries);
             ("cache_hits", int t.s_cache_hits);
@@ -78,21 +78,21 @@ let to_json t =
             ("cache_hit_rate", num (cache_hit_rate t));
           ] );
       ( "workers",
-        VArr
+        Arr
           (List.map
              (fun w ->
-               VObj
+               Obj
                  [
                    ("wid", int w.w_wid);
                    ("pid", int w.w_pid);
                    ("epoch", int w.w_epoch);
                    ("last_seen", num w.w_last_seen);
                    ("shard", int w.w_shard);
-                   ("phase", VStr w.w_phase);
+                   ("phase", Str w.w_phase);
                    ("queries", int w.w_queries);
                  ])
              t.s_workers) );
-      ("counters", VObj (List.map (fun (k, v) -> (k, int v)) t.s_counters));
+      ("counters", Obj (List.map (fun (k, v) -> (k, int v)) t.s_counters));
     ]
 
 let of_json v =
@@ -103,16 +103,16 @@ let of_json v =
   let d0 = Option.value ~default:0 in
   let df = Option.value ~default:0. in
   match v with
-  | VObj _ ->
-      let shards = Option.value ~default:(VObj []) (mem "shards" v) in
-      let solver = Option.value ~default:(VObj []) (mem "solver" v) in
+  | Obj _ ->
+      let shards = Option.value ~default:(Obj []) (mem "shards" v) in
+      let solver = Option.value ~default:(Obj []) (mem "solver" v) in
       let workers =
         match mem "workers" v with
-        | Some (VArr ws) ->
+        | Some (Arr ws) ->
             List.filter_map
               (fun w ->
                 match w with
-                | VObj _ ->
+                | Obj _ ->
                     Some
                       {
                         w_wid = d0 (int "wid" w);
@@ -129,7 +129,7 @@ let of_json v =
       in
       let counters =
         match mem "counters" v with
-        | Some (VObj fields) ->
+        | Some (Obj fields) ->
             List.filter_map
               (fun (k, cv) ->
                 Option.map (fun f -> (k, int_of_float f)) (to_float cv))
@@ -158,13 +158,13 @@ let of_json v =
 
 let save ~workdir t =
   try
-    Lease.atomic_write ~path:(status_file workdir)
+    Achilles_core.Sealed.write ~path:(status_file workdir)
       (Obs.Json.to_string (to_json t) ^ "\n");
     true
-  with Sys_error _ | Unix.Unix_error _ -> false
+  with Sys_error _ -> false
 
 let load ~workdir =
-  match Lease.read_file (status_file workdir) with
+  match Achilles_core.Sealed.read (status_file workdir) with
   | None -> Error (Printf.sprintf "no status.json under %s" workdir)
   | Some content -> (
       match Obs.Json.parse (String.trim content) with

@@ -48,8 +48,8 @@ type t = {
 val queries_per_sec : t -> float
 val cache_hit_rate : t -> float
 
-val to_json : t -> Achilles_obs.Obs.Json.v
-val of_json : Achilles_obs.Obs.Json.v -> (t, string) result
+val to_json : t -> Achilles_obs.Obs.Json.t
+val of_json : Achilles_obs.Obs.Json.t -> (t, string) result
 
 val save : workdir:string -> t -> bool
 (** Atomic write to {!status_file}; [false] on I/O failure (a status write

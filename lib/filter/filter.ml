@@ -1041,34 +1041,19 @@ let encode_payload ft =
     ft.f_states;
   Buffer.contents buf
 
-let to_string ft =
-  let payload = encode_payload ft in
-  let buf = Buffer.create (String.length payload + 32) in
-  Buffer.add_string buf magic;
-  Buffer.add_int32_be buf (Int32.of_int (String.length payload));
-  Buffer.add_string buf payload;
-  Buffer.add_string buf (Digest.string payload);
-  Buffer.contents buf
+let to_string ft = Sealed.seal ~magic (encode_payload ft)
 
 exception Decode_error of string
 
 let of_string s =
   let fail msg = raise (Decode_error msg) in
   try
-    if String.length s < 8 + 4 + 16 then fail "truncated image";
-    if String.sub s 0 8 <> magic then
-      if String.sub s 0 6 = String.sub magic 0 6 then
-        fail "unsupported filter format version"
-      else fail "not a compiled filter (bad magic)";
-    let payload_len =
-      Int32.to_int (String.get_int32_be s 8)
+    let payload =
+      match Sealed.unseal ~magic s with
+      | Ok payload -> payload
+      | Error reason -> fail (Printf.sprintf "not a valid filter image (%s)" reason)
     in
-    if payload_len < 0 || String.length s <> 8 + 4 + payload_len + 16 then
-      fail "truncated or oversized image";
-    let payload = String.sub s 12 payload_len in
-    let digest = String.sub s (12 + payload_len) 16 in
-    if Digest.string payload <> digest then
-      fail "payload digest mismatch (corrupt image)";
+    let payload_len = String.length payload in
     let pos = ref 0 in
     let u8 () =
       if !pos >= payload_len then fail "truncated payload";
@@ -1205,36 +1190,17 @@ let of_string s =
   | Invalid_argument msg -> Error (Printf.sprintf "malformed image: %s" msg)
 
 let save ft ~file =
-  let dir = Filename.dirname file in
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf ".%s.tmp.%d" (Filename.basename file) (Unix.getpid ()))
-  in
-  match
-    let oc = open_out_bin tmp in
-    output_string oc (to_string ft);
-    close_out oc;
-    Sys.rename tmp file
-  with
+  match Sealed.write ~path:file (to_string ft) with
   | () -> Ok ()
-  | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error msg
+  | exception Sys_error msg -> Error msg
 
 let load ~file =
-  match
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    content
-  with
-  | content -> (
+  match Sealed.read file with
+  | None -> Error (Printf.sprintf "%s: missing or unreadable" file)
+  | Some content -> (
       match of_string content with
       | Ok ft -> Ok ft
       | Error msg -> Error (Printf.sprintf "%s: %s" file msg))
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error (Printf.sprintf "%s: truncated image" file)
 
 let pp_summary ppf ft =
   Format.fprintf ppf

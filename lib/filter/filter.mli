@@ -96,19 +96,19 @@ val verdict : evaluator -> Bv.t array -> verdict
 
 (** {1 Serialization}
 
-    A versioned binary image: magic + format version, a length-prefixed
-    payload, and an MD5 of the payload. Decoding rejects — with an honest
-    error, never a wrong verdict — truncated images, foreign or
-    wrong-version files, bit flips anywhere in the payload, and
-    structurally invalid programs (dangling op references, sort
-    mismatches, out-of-range byte indices). *)
+    A {!Achilles_core.Sealed} frame with magic [ACHFLT01] around the
+    encoded program. Decoding rejects — with an honest error, never a
+    wrong verdict — every image the frame refuses (truncated, foreign,
+    wrong-version, bit-flipped) and structurally invalid programs
+    (dangling op references, sort mismatches, out-of-range byte
+    indices). *)
 
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
 val save : t -> file:string -> (unit, string) result
-(** Atomic write: temp file in the destination directory, then rename. *)
+(** Durable atomic write ({!Achilles_core.Sealed.write}). *)
 
 val load : file:string -> (t, string) result
 

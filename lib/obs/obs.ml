@@ -722,151 +722,18 @@ end
 (* --- reading traces back ---------------------------------------------------- *)
 
 module Json = struct
-  type t = Null | Bool of bool | Num of float | Str of string
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
 
   exception Bad of string
 
-  (* Minimal recursive-descent parser for the flat objects this module
-     writes: {"key": scalar, ...} with string/number/bool/null values. *)
-  let parse_line line =
-    let n = String.length line in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some line.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      skip_ws ();
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> raise (Bad (Printf.sprintf "expected %c at %d" c !pos))
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then raise (Bad "unterminated string");
-        let c = line.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' -> (
-            if !pos >= n then raise (Bad "unterminated escape");
-            let e = line.[!pos] in
-            advance ();
-            match e with
-            | '"' -> Buffer.add_char buf '"'; go ()
-            | '\\' -> Buffer.add_char buf '\\'; go ()
-            | '/' -> Buffer.add_char buf '/'; go ()
-            | 'n' -> Buffer.add_char buf '\n'; go ()
-            | 'r' -> Buffer.add_char buf '\r'; go ()
-            | 't' -> Buffer.add_char buf '\t'; go ()
-            | 'b' -> Buffer.add_char buf '\b'; go ()
-            | 'f' -> Buffer.add_char buf '\012'; go ()
-            | 'u' ->
-                if !pos + 4 > n then raise (Bad "short \\u escape");
-                let hex = String.sub line !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> raise (Bad "bad \\u escape")
-                in
-                (* We only emit \u for control chars; decode the BMP point
-                   as UTF-8 so round-trips stay lossless. *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                go ()
-            | _ -> raise (Bad "bad escape"))
-        | c -> Buffer.add_char buf c; go ()
-      in
-      go ()
-    in
-    let parse_scalar () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some 't' ->
-          if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-            pos := !pos + 4;
-            Bool true
-          end
-          else raise (Bad "bad literal")
-      | Some 'f' ->
-          if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-            pos := !pos + 5;
-            Bool false
-          end
-          else raise (Bad "bad literal")
-      | Some 'n' ->
-          if !pos + 4 <= n && String.sub line !pos 4 = "null" then begin
-            pos := !pos + 4;
-            Null
-          end
-          else raise (Bad "bad literal")
-      | Some c when c = '-' || (c >= '0' && c <= '9') ->
-          let start = !pos in
-          while
-            !pos < n
-            && (match line.[!pos] with
-               | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            advance ()
-          done;
-          let s = String.sub line start (!pos - start) in
-          (match float_of_string_opt s with
-          | Some f -> Num f
-          | None -> raise (Bad (Printf.sprintf "bad number %S" s)))
-      | _ -> raise (Bad (Printf.sprintf "unexpected input at %d" !pos))
-    in
-    try
-      expect '{';
-      skip_ws ();
-      let fields = ref [] in
-      (match peek () with
-      | Some '}' -> advance ()
-      | _ ->
-          let rec members () =
-            let key = (skip_ws (); parse_string ()) in
-            expect ':';
-            let v = parse_scalar () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ()
-            | Some '}' -> advance ()
-            | _ -> raise (Bad "expected , or }")
-          in
-          members ());
-      skip_ws ();
-      if !pos <> n then raise (Bad "trailing garbage");
-      Ok (List.rev !fields)
-    with Bad msg -> Error msg
-
-  (* Full (nested) JSON values — used by status.json and trace merging.
-     [parse_line] above stays the fast path for flat trace lines. *)
-  type v =
-    | VNull
-    | VBool of bool
-    | VNum of float
-    | VStr of string
-    | VArr of v list
-    | VObj of (string * v) list
-
+  (* Recursive descent over one complete value: trace lines, status.json,
+     merged-trace validation. *)
   let parse s =
     let n = String.length s in
     let pos = ref 0 in
@@ -916,6 +783,8 @@ module Json = struct
                   try int_of_string ("0x" ^ hex)
                   with _ -> raise (Bad "bad \\u escape")
                 in
+                (* We only emit \u for control chars; decode the BMP point
+                   as UTF-8 so round-trips stay lossless. *)
                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
                 else if code < 0x800 then begin
                   Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
@@ -935,13 +804,13 @@ module Json = struct
     let rec parse_value () =
       skip_ws ();
       match peek () with
-      | Some '"' -> VStr (parse_string ())
+      | Some '"' -> Str (parse_string ())
       | Some '{' ->
           advance ();
           skip_ws ();
           if peek () = Some '}' then begin
             advance ();
-            VObj []
+            Obj []
           end
           else begin
             let fields = ref [] in
@@ -958,14 +827,14 @@ module Json = struct
               | _ -> raise (Bad "expected , or }")
             in
             members ();
-            VObj (List.rev !fields)
+            Obj (List.rev !fields)
           end
       | Some '[' ->
           advance ();
           skip_ws ();
           if peek () = Some ']' then begin
             advance ();
-            VArr []
+            Arr []
           end
           else begin
             let items = ref [] in
@@ -979,24 +848,24 @@ module Json = struct
               | _ -> raise (Bad "expected , or ]")
             in
             elements ();
-            VArr (List.rev !items)
+            Arr (List.rev !items)
           end
       | Some 't' ->
           if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
             pos := !pos + 4;
-            VBool true
+            Bool true
           end
           else raise (Bad "bad literal")
       | Some 'f' ->
           if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
             pos := !pos + 5;
-            VBool false
+            Bool false
           end
           else raise (Bad "bad literal")
       | Some 'n' ->
           if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
             pos := !pos + 4;
-            VNull
+            Null
           end
           else raise (Bad "bad literal")
       | Some c when c = '-' || (c >= '0' && c <= '9') ->
@@ -1011,7 +880,7 @@ module Json = struct
           done;
           let str = String.sub s start (!pos - start) in
           (match float_of_string_opt str with
-          | Some f -> VNum f
+          | Some f -> Num f
           | None -> raise (Bad (Printf.sprintf "bad number %S" str)))
       | _ -> raise (Bad (Printf.sprintf "unexpected input at %d" !pos))
     in
@@ -1025,11 +894,11 @@ module Json = struct
   let to_string v =
     let buf = Buffer.create 256 in
     let rec go = function
-      | VNull -> Buffer.add_string buf "null"
-      | VBool b -> Buffer.add_string buf (if b then "true" else "false")
-      | VNum f -> buf_add_float buf f
-      | VStr s -> buf_add_json_string buf s
-      | VArr items ->
+      | Null -> Buffer.add_string buf "null"
+      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Num f -> buf_add_float buf f
+      | Str s -> buf_add_json_string buf s
+      | Arr items ->
           Buffer.add_char buf '[';
           List.iteri
             (fun i item ->
@@ -1037,7 +906,7 @@ module Json = struct
               go item)
             items;
           Buffer.add_char buf ']'
-      | VObj fields ->
+      | Obj fields ->
           Buffer.add_char buf '{';
           List.iteri
             (fun i (k, item) ->
@@ -1051,12 +920,35 @@ module Json = struct
     go v;
     Buffer.contents buf
 
-  let mem k = function VObj fields -> List.assoc_opt k fields | _ -> None
+  let parse_line line =
+    match parse line with
+    | Ok (Obj fields) -> Ok fields
+    | Ok _ -> Error "expected a JSON object"
+    | Error msg -> Error msg
 
-  let to_float = function VNum f -> Some f | _ -> None
+  let mem k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
-  let to_str = function VStr s -> Some s | _ -> None
+  let to_float = function Num f -> Some f | _ -> None
+
+  let to_str = function Str s -> Some s | _ -> None
 end
+
+(* Every event of a JSONL trace file, in file order; blank lines skipped,
+   the first unparseable line reported with its number. *)
+let read_jsonl path =
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      let rec go lineno acc =
+        match input_line ic with
+        | exception End_of_file -> Ok (List.rev acc)
+        | line when String.trim line = "" -> go (lineno + 1) acc
+        | line -> (
+            match Json.parse_line line with
+            | Ok fields -> go (lineno + 1) (fields :: acc)
+            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg))
+      in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go 1 [])
 
 module Summary = struct
   type row = {
@@ -1227,28 +1119,7 @@ module Summary = struct
       kinds = sorted kinds;
     }
 
-  let load path =
-    match open_in path with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-        let events = ref [] in
-        let lineno = ref 0 in
-        let err = ref None in
-        (try
-           while !err = None do
-             let line = input_line ic in
-             incr lineno;
-             if String.trim line <> "" then
-               match Json.parse_line line with
-               | Ok fields -> events := fields :: !events
-               | Error msg ->
-                   err := Some (Printf.sprintf "%s:%d: %s" path !lineno msg)
-           done
-         with End_of_file -> ());
-        close_in ic;
-        (match !err with
-        | Some e -> Error e
-        | None -> Ok (of_events (List.rev !events)))
+  let load path = Result.map of_events (read_jsonl path)
 end
 
 module Chrome = struct
@@ -1285,19 +1156,8 @@ module Chrome = struct
         fields
     in
     if extra <> [] then begin
-      Buffer.add_string buf ",\"args\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          buf_add_json_string buf k;
-          Buffer.add_char buf ':';
-          match v with
-          | Json.Null -> Buffer.add_string buf "null"
-          | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
-          | Json.Num f -> buf_add_float buf f
-          | Json.Str s -> buf_add_json_string buf s)
-        extra;
-      Buffer.add_char buf '}'
+      Buffer.add_string buf ",\"args\":";
+      Buffer.add_string buf (Json.to_string (Json.Obj extra))
     end;
     Buffer.add_char buf '}';
     output_string oc (Buffer.contents buf)
@@ -1314,36 +1174,19 @@ module Chrome = struct
     output_string oc (Buffer.contents buf)
 
   let export ~src ~dst =
-    match open_in src with
-    | exception Sys_error msg -> Error msg
-    | ic -> (
+    match read_jsonl src with
+    | Error msg -> Error msg
+    | Ok events -> (
         match open_out dst with
-        | exception Sys_error msg ->
-            close_in ic;
-            Error msg
+        | exception Sys_error msg -> Error msg
         | oc ->
             let buf = Buffer.create 256 in
             let first = ref true in
-            let err = ref None in
-            let lineno = ref 0 in
             output_string oc "{\"traceEvents\":[\n";
-            (try
-               while !err = None do
-                 let line = input_line ic in
-                 incr lineno;
-                 if String.trim line <> "" then
-                   match Json.parse_line line with
-                   | Ok fields ->
-                       emit_event oc buf ~first ~pid:0 ~toffset:0. fields
-                   | Error msg ->
-                       err :=
-                         Some (Printf.sprintf "%s:%d: %s" src !lineno msg)
-               done
-             with End_of_file -> ());
+            List.iter (emit_event oc buf ~first ~pid:0 ~toffset:0.) events;
             output_string oc "\n]}\n";
-            close_in ic;
             close_out oc;
-            (match !err with Some e -> Error e | None -> Ok ()))
+            Ok ())
 
   (* One stream's meta identity as read back from its trace_start line. *)
   type stream_meta = {
@@ -1353,46 +1196,26 @@ module Chrome = struct
   }
 
   let load_stream src =
-    match open_in src with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-        let events = ref [] in
-        let lineno = ref 0 in
-        let err = ref None in
-        (try
-           while !err = None do
-             let line = input_line ic in
-             incr lineno;
-             if String.trim line <> "" then
-               match Json.parse_line line with
-               | Ok fields -> events := fields :: !events
-               | Error msg ->
-                   err := Some (Printf.sprintf "%s:%d: %s" src !lineno msg)
-           done
-         with End_of_file -> ());
-        close_in ic;
-        (match !err with
-        | Some e -> Error e
-        | None ->
-            let events = List.rev !events in
-            let meta =
-              List.find_opt
-                (fun fields ->
-                  Summary.str fields "kind" = Some "meta"
-                  && Summary.str fields "name" = Some "trace_start")
-                events
-            in
-            let get f k = Option.bind meta (fun m -> f m k) in
-            Ok
-              ( events,
-                {
-                  sm_run_id =
-                    (match get Summary.str "run_id" with
-                    | Some "" -> None
-                    | other -> other);
-                  sm_proc = get Summary.str "proc";
-                  sm_wall0 = get Summary.num "wall0";
-                } ))
+    Result.map
+      (fun events ->
+        let meta =
+          List.find_opt
+            (fun fields ->
+              Summary.str fields "kind" = Some "meta"
+              && Summary.str fields "name" = Some "trace_start")
+            events
+        in
+        let get f k = Option.bind meta (fun m -> f m k) in
+        ( events,
+          {
+            sm_run_id =
+              (match get Summary.str "run_id" with
+              | Some "" -> None
+              | other -> other);
+            sm_proc = get Summary.str "proc";
+            sm_wall0 = get Summary.num "wall0";
+          } ))
+      (read_jsonl src)
 
   (* Merge several JSONL trace streams (coordinator + workers) into one
      Chrome timeline: one pid per stream, clocks aligned via each stream's

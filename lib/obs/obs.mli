@@ -215,34 +215,33 @@ end
 (** {1 Reading traces back} *)
 
 module Json : sig
-  type t = Null | Bool of bool | Num of float | Str of string
+  (** One value type and one parser for every JSON Achilles reads back:
+      JSONL trace lines, [status.json], merged Chrome traces. *)
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
 
-  (** Parse one flat JSONL object ([{"k":v,...}] with scalar values) into an
-      assoc list. *)
+  val parse : string -> (t, string) result
+  (** Exactly one value, surrounded by optional whitespace. *)
+
   val parse_line : string -> ((string * t) list, string) result
-
-  (** Full nested JSON values — status.json and merged-trace validation.
-      [parse_line] remains the fast path for flat trace lines. *)
-  type v =
-    | VNull
-    | VBool of bool
-    | VNum of float
-    | VStr of string
-    | VArr of v list
-    | VObj of (string * v) list
-
-  val parse : string -> (v, string) result
+  (** {!parse}, then require an object: one JSONL trace line as its
+      fields, in file order. *)
 
   (** Compact single-line rendering; inverse of {!parse} up to float
       formatting. *)
-  val to_string : v -> string
+  val to_string : t -> string
 
-  (** Field lookup on a [VObj]; [None] otherwise. *)
-  val mem : string -> v -> v option
+  (** Field lookup on an [Obj]; [None] otherwise. *)
+  val mem : string -> t -> t option
 
-  val to_float : v -> float option
+  val to_float : t -> float option
 
-  val to_str : v -> string option
+  val to_str : t -> string option
 end
 
 module Summary : sig

@@ -515,22 +515,66 @@ let test_checkpoint_corruption_guards () =
   Unix.close fd;
   Alcotest.(check bool) "corrupted payload treated as missing" true
     (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
+  (* flipped header byte: caught by the frame before any payload is read *)
+  Search.Shards.write ~file ~fingerprint ~idx:0 out;
+  let fd = Unix.openfile file [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd 3 Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
+  ignore (Unix.lseek fd 3 Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd;
+  Alcotest.(check bool) "corrupted header treated as missing" true
+    (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
   rm_rf dir
+
+let plant path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
 
 let test_stale_tmp_cleanup () =
   let dir = fresh_workdir "achilles-dist-tmp" in
   let junk = Filename.concat dir "shard-0000.ckpt.tmp.12345.0" in
-  let oc = open_out_bin junk in
-  output_string oc "half-written by a killed worker";
-  close_out oc;
+  plant junk "half-written by a killed worker";
   let keep = Filename.concat dir "shard-0001.ckpt" in
-  let oc = open_out_bin keep in
-  output_string oc "not actually loadable, but not tmp either";
-  close_out oc;
+  plant keep "not actually loadable, but not tmp either";
   Search.Shards.prepare_dir dir;
   Alcotest.(check bool) "stale tmp swept" false (Sys.file_exists junk);
   Alcotest.(check bool) "real files kept" true (Sys.file_exists keep);
-  rm_rf dir
+  rm_rf dir;
+  (* a coordinator start sweeps every directory of the run, not just
+     shards/: one writer killed mid-write in each *)
+  let client, server, base = extract_case fixed_case in
+  let workdir = fresh_workdir "achilles-dist-tmp-run" in
+  let planted =
+    List.map
+      (fun (sub, name) ->
+        let d = if sub = "" then workdir else Filename.concat workdir sub in
+        if not (Sys.file_exists d) then Unix.mkdir d 0o755;
+        let path = Filename.concat d name in
+        plant path "half-written by a killed writer";
+        path)
+      [
+        ("", "manifest.tmp.4242.0");
+        ("", "status.json.tmp.4242.1");
+        ("inbox", "m-0000000001.000000-004242-000000.msg.tmp.4242.2");
+        ("outbox-000", "m-0000000001.000000-004242-000001.msg.tmp.4242.3");
+        ("leases", "shard-0000.lease.tmp.4242.4");
+        ("shards", "shard-0000.t1.ckpt.tmp.4242.5");
+      ]
+  in
+  let report = dist_run ~workdir ~base client server in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s swept" (Filename.basename path))
+        false (Sys.file_exists path))
+    planted;
+  rm_rf workdir;
+  Alcotest.(check bool) "the run still completes" true
+    (Search.coverage_complete report.Search.coverage)
 
 (* --- telemetry: snapshot wire messages and status.json ------------------------- *)
 
@@ -698,6 +742,75 @@ let test_real_worker_processes () =
             "real worker processes reproduce the single-process digest" d1 d2
       | _ -> Alcotest.fail "no report digest in CLI output"
 
+(* A damaged manifest is refused before anything in it is trusted. The run
+   id sits verbatim in the manifest bytes; one changed hex digit there
+   leaves a well-formed parameter record that only the seal can catch. *)
+let test_worker_refuses_damaged_manifest () =
+  match cli_binary () with
+  | None -> print_endline "achilles_cli.exe not built here; skipping"
+  | Some binary ->
+      let workdir = fresh_workdir "achilles-dist-manifest" in
+      let status, _ =
+        run_cli binary [ "analyze"; "rw"; "--workers"; "1"; "--work-dir"; workdir ]
+      in
+      Alcotest.(check bool) "distributed run exits 0" true
+        (status = Unix.WEXITED 0);
+      let run_id =
+        match Dist.Status.load ~workdir with
+        | Ok st -> st.Dist.Status.s_run_id
+        | Error e -> Alcotest.fail ("status.json unreadable: " ^ e)
+      in
+      let manifest = Dist.Lease.manifest_file workdir in
+      let image = In_channel.with_open_bin manifest In_channel.input_all in
+      let at =
+        let n = String.length run_id in
+        let rec find i =
+          if i + n > String.length image then
+            Alcotest.fail "run id not found in the manifest"
+          else if String.sub image i n = run_id then i
+          else find (i + 1)
+        in
+        find 0
+      in
+      let damaged = Bytes.of_string image in
+      Bytes.set damaged at (if image.[at] = 'a' then 'b' else 'a');
+      Out_channel.with_open_bin manifest (fun oc ->
+          Out_channel.output_bytes oc damaged);
+      let err = Filename.temp_file "achilles-dist-worker" ".err" in
+      let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let pid =
+        Unix.create_process binary
+          [| binary; "worker"; "--work-dir"; workdir; "--id"; "0" |]
+          Unix.stdin Unix.stdout fd
+      in
+      Unix.close fd;
+      let deadline = Unix.gettimeofday () +. 10. in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.05;
+            wait ()
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            None
+        | _, status -> Some status
+      in
+      let status = wait () in
+      let stderr = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      rm_rf workdir;
+      Alcotest.(check bool) "worker exits 2 within 10 s" true
+        (status = Some (Unix.WEXITED 2));
+      let needle = "unreadable manifest" in
+      let rec contains i =
+        i + String.length needle <= String.length stderr
+        && (String.sub stderr i (String.length needle) = needle
+           || contains (i + 1))
+      in
+      Alcotest.(check bool) "worker names the unreadable manifest" true
+        (contains 0)
+
 (* Worker processes must flush their trace sinks on EVERY exit path —
    including the fault-injected hard kill (_exit) — so each
    trace-worker-NNN.eN.jsonl left in the workdir is whole-line JSONL that
@@ -839,5 +952,7 @@ let () =
           Alcotest.test_case "CLI round trip" `Slow test_real_worker_processes;
           Alcotest.test_case "worker traces flushed on every exit path" `Slow
             test_worker_traces_flushed;
+          Alcotest.test_case "worker refuses a damaged manifest" `Slow
+            test_worker_refuses_damaged_manifest;
         ] );
     ]

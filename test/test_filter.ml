@@ -321,23 +321,75 @@ let test_corruption_guards () =
   expect_error "valid envelope, junk payload"
     (Filter.of_string (Buffer.contents buf))
 
-(* Any single bit flip anywhere in the image — magic, lengths, payload, or
-   the digest itself — must produce an error, never a verdict-capable
-   filter with different behavior. *)
-let qcheck_bit_flips_rejected =
-  QCheck2.Test.make ~name:"any single bit flip in the image is rejected"
-    ~count:500
+(* Any single bit flip anywhere in a sealed image — magic, lengths,
+   payload, or the digest itself — must be refused by that image's own
+   reader, never decoded into something that behaves differently. One
+   property over the three formats that share the frame. *)
+let qcheck_bit_flips_rejected ~name image rejected =
+  QCheck2.Test.make ~name ~count:500
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 7))
     (fun (p, bit) ->
-      let image = Lazy.force fsp_image in
+      let image = Lazy.force image in
       let pos = p mod String.length image in
       let flipped = Bytes.of_string image in
       Bytes.set flipped pos
         (Char.chr (Char.code image.[pos] lxor (1 lsl bit)));
-      match Filter.of_string (Bytes.to_string flipped) with
-      | Error _ -> true
-      | Ok _ ->
-          QCheck2.Test.fail_reportf "flip at byte %d bit %d accepted" pos bit)
+      rejected (Bytes.to_string flipped)
+      || QCheck2.Test.fail_reportf "flip at byte %d bit %d accepted" pos bit)
+
+let ckpt_file =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "achilles-filter-flip-%d.ckpt" (Unix.getpid ()))
+
+let ckpt_fingerprint = "bit-flip-fingerprint"
+
+let load_ckpt image =
+  Out_channel.with_open_bin ckpt_file (fun oc -> Out_channel.output_string oc image);
+  Search.Shards.load ~file:ckpt_file ~fingerprint:ckpt_fingerprint ~idx:0
+
+(* One explored shard of the paper's working example, checkpointed. *)
+let ckpt_image =
+  lazy
+    (Solver.reset_all_for_tests ();
+     Term.reset_fresh_counter ();
+     let client, _ =
+       Client_extract.extract ~layout:Rw_example.layout [ Rw_example.client ]
+     in
+     let base = Term.fresh_counter_value () in
+     let config = { Search.default_config with Search.domains = 2 } in
+     let bits = Search.Shards.split_bits config in
+     match
+       Search.Shards.explore ~config ~different_from:None ~client
+         ~server:Rw_example.server ~bits ~base ~started:(Unix.gettimeofday ()) 0
+     with
+     | None, _ -> Alcotest.fail "shard exploration was cancelled?"
+     | Some out, _ ->
+         at_exit (fun () -> try Sys.remove ckpt_file with Sys_error _ -> ());
+         Search.Shards.write ~file:ckpt_file ~fingerprint:ckpt_fingerprint
+           ~idx:0 out;
+         let image = In_channel.with_open_bin ckpt_file In_channel.input_all in
+         if load_ckpt image = None then
+           Alcotest.fail "pristine checkpoint does not load";
+         image)
+
+let manifest_image =
+  lazy
+    (Achilles_dist.Lease.seal_manifest
+       (Marshal.to_string ("rw", Some "request", 4, 0.5, "0123456789ab") []))
+
+let bit_flip_properties =
+  [
+    qcheck_bit_flips_rejected ~name:"any single bit flip in the image is rejected"
+      fsp_image (fun s -> Result.is_error (Filter.of_string s));
+    qcheck_bit_flips_rejected
+      ~name:"any single bit flip in a shard checkpoint is rejected" ckpt_image
+      (fun s -> load_ckpt s = None);
+    qcheck_bit_flips_rejected
+      ~name:"any single bit flip in a sealed manifest is rejected"
+      manifest_image
+      (fun s -> Result.is_error (Achilles_dist.Lease.unseal_manifest s));
+  ]
 
 let test_save_load () =
   let _, _, filter = force "gossip" in
@@ -834,7 +886,7 @@ let () =
           Alcotest.test_case "corruption guards" `Quick test_corruption_guards;
           Alcotest.test_case "save/load" `Quick test_save_load;
         ] );
-      qsuite "serialization-properties" [ qcheck_bit_flips_rejected ];
+      qsuite "serialization-properties" bit_flip_properties;
       ( "daemon",
         [
           Alcotest.test_case "in-process protocol" `Quick test_daemon_in_process;

@@ -72,6 +72,7 @@ let test_json_parse_errors () =
   bad "{\"a\":}";
   bad "{\"a\":\"unterminated";
   bad "{\"a\":1,}";
+  bad "[1,2]";
   (match Obs.Json.parse_line "{}" with
   | Ok [] -> ()
   | _ -> Alcotest.fail "empty object should parse to an empty assoc");
@@ -740,32 +741,32 @@ let test_prometheus_of_snapshot () =
         | None -> Alcotest.fail ("sample line without value: " ^ line))
     (out_lines out)
 
-(* --- nested JSON values (Json.v) ----------------------------------------------- *)
+(* --- nested JSON values (Json.t) ----------------------------------------------- *)
 
 let test_json_value_roundtrip () =
   let v =
-    Obs.Json.VObj
+    Obs.Json.Obj
       [
-        ("s", Obs.Json.VStr tricky_string);
-        ("n", Obs.Json.VNum 1.5);
-        ("neg", Obs.Json.VNum (-3.));
-        ("null", Obs.Json.VNull);
-        ("b", Obs.Json.VBool false);
+        ("s", Obs.Json.Str tricky_string);
+        ("n", Obs.Json.Num 1.5);
+        ("neg", Obs.Json.Num (-3.));
+        ("null", Obs.Json.Null);
+        ("b", Obs.Json.Bool false);
         ( "arr",
-          Obs.Json.VArr
-            [ Obs.Json.VNum 1.; Obs.Json.VStr "x"; Obs.Json.VObj [] ] );
-        ("obj", Obs.Json.VObj [ ("k", Obs.Json.VArr []) ]);
+          Obs.Json.Arr
+            [ Obs.Json.Num 1.; Obs.Json.Str "x"; Obs.Json.Obj [] ] );
+        ("obj", Obs.Json.Obj [ ("k", Obs.Json.Arr []) ]);
       ]
   in
   (match Obs.Json.parse (Obs.Json.to_string v) with
   | Error e -> Alcotest.fail ("nested round-trip failed: " ^ e)
   | Ok v' -> Alcotest.(check bool) "nested value round-trips" true (v = v'));
   (match Obs.Json.parse "\"caf\\u00e9\"" with
-  | Ok (Obs.Json.VStr s) ->
+  | Ok (Obs.Json.Str s) ->
       Alcotest.(check string) "unicode escape decodes to UTF-8" "caf\xc3\xa9" s
   | _ -> Alcotest.fail "unicode escape misparsed");
   (match Obs.Json.parse " [ 1 , true , null ] " with
-  | Ok (Obs.Json.VArr [ Obs.Json.VNum 1.; Obs.Json.VBool true; Obs.Json.VNull ])
+  | Ok (Obs.Json.Arr [ Obs.Json.Num 1.; Obs.Json.Bool true; Obs.Json.Null ])
     -> ()
   | _ -> Alcotest.fail "whitespace array misparsed");
   let bad s =
@@ -787,7 +788,7 @@ let test_json_value_roundtrip () =
     (Some tricky_string)
     (Option.bind (Obs.Json.mem "s" v) Obs.Json.to_str);
   Alcotest.(check bool) "mem on non-object" true
-    (Obs.Json.mem "x" (Obs.Json.VNum 1.) = None)
+    (Obs.Json.mem "x" (Obs.Json.Num 1.) = None)
 
 (* --- process identity and the trace_start meta event ---------------------------- *)
 
@@ -891,7 +892,7 @@ let test_chrome_merge () =
   | Error e -> Alcotest.fail ("merged output is not valid JSON: " ^ e)
   | Ok v -> (
       match Obs.Json.mem "traceEvents" v with
-      | Some (Obs.Json.VArr evs) ->
+      | Some (Obs.Json.Arr evs) ->
           Alcotest.(check bool) "merged timeline has events" true
             (List.length evs >= 6)
       | _ -> Alcotest.fail "merged output lacks a traceEvents array"));
