@@ -351,11 +351,12 @@ type manifest = {
   mf_trace : bool; (* workers mirror the coordinator's tracing choice *)
 }
 
-(* The search config a distributed run uses, identical on both sides.
-   [domains] is set to the worker count so the shard decomposition scales
-   with it (each worker explores its leased shard sequentially). *)
-let dist_search_config target ~mask ~witnesses ~no_drop ~no_df ~no_prune
-    ~no_slice ~explain ~workers ~deadline ~conflicts =
+(* The search config of an analysis, built the same way by single-process
+   runs, the coordinator and every worker. A distributed run sets [domains]
+   to the worker count so the shard decomposition scales with it (each
+   worker explores its leased shard sequentially). *)
+let search_config target ~mask ~witnesses ~no_drop ~no_df ~no_prune ~no_slice
+    ~explain ~domains ~deadline ~conflicts ~checkpoint_dir ~resume =
   let solver_budget =
     match (deadline, conflicts) with
     | None, None -> None
@@ -372,42 +373,27 @@ let dist_search_config target ~mask ~witnesses ~no_drop ~no_df ~no_prune
     Search.use_slice = Slice.enabled () && not no_slice;
     Search.explain_drops = explain;
     Search.interp = target.interp;
-    Search.domains = max 1 workers;
+    Search.domains = domains;
     Search.solver_budget;
+    Search.checkpoint_dir =
+      (match resume with Some dir -> Some dir | None -> checkpoint_dir);
+    Search.resume = resume <> None;
     Search.cancel = (fun () -> Atomic.get interrupted);
   }
 
 let search_config_of_manifest target mf =
-  dist_search_config target ~mask:mf.mf_mask ~witnesses:mf.mf_witnesses
+  search_config target ~mask:mf.mf_mask ~witnesses:mf.mf_witnesses
     ~no_drop:mf.mf_no_drop ~no_df:mf.mf_no_df ~no_prune:mf.mf_no_prune
-    ~no_slice:mf.mf_no_slice ~explain:mf.mf_explain ~workers:mf.mf_workers
-    ~deadline:mf.mf_deadline ~conflicts:mf.mf_conflicts
+    ~no_slice:mf.mf_no_slice ~explain:mf.mf_explain
+    ~domains:(max 1 mf.mf_workers) ~deadline:mf.mf_deadline
+    ~conflicts:mf.mf_conflicts ~checkpoint_dir:None ~resume:None
 
-(* Client extraction + differentFrom, then the job record every process of
-   the run must agree on. *)
+(* The analysis front half, then the job record every process of the run
+   must agree on. *)
 let dist_job target config =
-  let client_config =
-    match target.client_interp with
-    | Some c -> c
-    | None -> Interp.default_config
-  in
-  let client, client_stats =
-    Client_extract.extract ~config:client_config ~layout:target.layout
-      target.clients
-  in
-  let different_from, different_from_stats =
-    if config.Search.use_different_from then
-      let server_slice =
-        if config.Search.use_slice then
-          Some (Slice.analyze ~layout:target.layout target.server)
-        else None
-      in
-      let df, stats =
-        Different_from.compute ?mask:config.Search.mask
-          ~use_slice:config.Search.use_slice ?server_slice client
-      in
-      (Some df, Some stats)
-    else (None, None)
+  let client, client_stats, different_from, different_from_stats =
+    Achilles.prepare ~search_config:config ?client_interp:target.client_interp
+      ~layout:target.layout ~clients:target.clients ~server:target.server ()
   in
   let job =
     Dist.Worker.job_of ~config ?different_from ~client ~server:target.server ()
@@ -510,16 +496,16 @@ let analyze name mask witnesses no_drop no_df no_prune no_slice
             ("workers", Obs.I workers);
           ]
         ();
+      let config ~domains =
+        search_config target ~mask ~witnesses ~no_drop ~no_df ~no_prune
+          ~no_slice ~explain ~domains ~deadline ~conflicts:solver_budget
+      in
       let analysis =
         match work_dir with
         | Some workdir when workers > 0 ->
-            let config =
-              dist_search_config target ~mask ~witnesses ~no_drop ~no_df
-                ~no_prune ~no_slice ~explain ~workers ~deadline
-                ~conflicts:solver_budget
-            in
-            run_coordinator target config ~workers ~workdir ~lease_ttl
-              ~reassign_budget
+            run_coordinator target
+              (config ~domains:workers ~checkpoint_dir:None ~resume:None)
+              ~workers ~workdir ~lease_ttl ~reassign_budget
               ~manifest_flags:
                 {
                   mf_target = name;
@@ -538,35 +524,8 @@ let analyze name mask witnesses no_drop no_df no_prune no_slice
                   mf_trace = Obs.live ();
                 }
         | _ ->
-            let solver_budget =
-              match (deadline, solver_budget) with
-              | None, None -> None
-              | deadline, conflicts ->
-                  Some (Solver.budget ?deadline ?conflicts ())
-            in
-            let checkpoint_dir =
-              match resume with Some dir -> Some dir | None -> checkpoint_dir
-            in
-            let config =
-              {
-                Search.default_config with
-                Search.mask = parse_mask target mask;
-                Search.witnesses_per_path = witnesses;
-                Search.distinct_by = target.distinct_by;
-                Search.drop_alive = not no_drop;
-                Search.use_different_from = not no_df;
-                Search.prune_no_trojan = not no_prune;
-                Search.use_slice = Slice.enabled () && not no_slice;
-                Search.explain_drops = explain;
-                Search.interp = target.interp;
-                Search.domains = domains;
-                Search.solver_budget;
-                Search.checkpoint_dir;
-                Search.resume = resume <> None;
-                Search.cancel = (fun () -> Atomic.get interrupted);
-              }
-            in
-            Achilles.analyze ~search_config:config
+            Achilles.analyze
+              ~search_config:(config ~domains ~checkpoint_dir ~resume)
               ?client_interp:target.client_interp ~layout:target.layout
               ~clients:target.clients ~server:target.server ()
       in

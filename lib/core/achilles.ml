@@ -15,8 +15,8 @@ type analysis = {
   timing : timing;
 }
 
-let analyze ?(search_config = Search.default_config)
-    ?(client_interp = Interp.default_config) ~layout ~clients ~server () =
+let prepare ~search_config ?(client_interp = Interp.default_config) ~layout
+    ~clients ~server () =
   let client_interp =
     (* the slice oracle is verdict-preserving, so client extraction can use
        it too — client guard chains are mostly single-variable interval
@@ -31,7 +31,7 @@ let analyze ?(search_config = Search.default_config)
   let client, client_stats =
     Client_extract.extract ~config:client_interp ~layout clients
   in
-  let different_from, different_from_stats, preprocessing =
+  let different_from, different_from_stats =
     if search_config.Search.use_different_from then begin
       let server_slice =
         if search_config.Search.use_slice then
@@ -42,9 +42,16 @@ let analyze ?(search_config = Search.default_config)
         Different_from.compute ?mask:search_config.Search.mask
           ~use_slice:search_config.Search.use_slice ?server_slice client
       in
-      (Some df, Some stats, stats.Different_from.wall_time)
+      (Some df, Some stats)
     end
-    else (None, None, 0.)
+    else (None, None)
+  in
+  (client, client_stats, different_from, different_from_stats)
+
+let analyze ?(search_config = Search.default_config) ?client_interp ~layout
+    ~clients ~server () =
+  let client, client_stats, different_from, different_from_stats =
+    prepare ~search_config ?client_interp ~layout ~clients ~server ()
   in
   let report =
     Search.run ~config:search_config ?different_from ~client ~server ()
@@ -58,7 +65,10 @@ let analyze ?(search_config = Search.default_config)
     timing =
       {
         client_extraction = client_stats.Client_extract.wall_time;
-        preprocessing;
+        preprocessing =
+          (match different_from_stats with
+          | Some s -> s.Different_from.wall_time
+          | None -> 0.);
         server_analysis = report.Search.search_stats.Search.wall_time;
       };
   }

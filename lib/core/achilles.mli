@@ -22,6 +22,23 @@ type analysis = {
   timing : timing;
 }
 
+val prepare :
+  search_config:Search.config ->
+  ?client_interp:Interp.config ->
+  layout:Layout.t ->
+  clients:Ast.program list ->
+  server:Ast.program ->
+  unit ->
+  Predicate.client_predicate
+  * Client_extract.stats
+  * Different_from.t option
+  * Different_from.stats option
+(** The front half of {!analyze}: client extraction (with the slice oracle
+    installed on [client_interp] when the configuration enables slicing)
+    and, when the configuration uses it, the differentFrom matrix. Every
+    process of a distributed run calls this, so each derives the same
+    inputs a single-process run searches. *)
+
 val analyze :
   ?search_config:Search.config ->
   ?client_interp:Interp.config ->

@@ -34,7 +34,7 @@ let check_pair ~layout field_name (pi : Predicate.client_path)
   | Some negation ->
       let value_i = Layout.field_term layout pi.Predicate.message field_name in
       let constraints_i =
-        Negate.related_constraints pi (Term.var_ids value_i)
+        Word.cone ~seed:value_i pi.Predicate.constraints
       in
       (* verdict-only: rides the per-domain incremental context so the
          O(paths^2 x fields) matrix reuses translations across probes *)
@@ -57,14 +57,14 @@ let static_verdict ~layout field_name (pi : Predicate.client_path)
       match Term.const_value value_i with
       | Some ci -> Some (not (Bv.equal ci cj))
       | None -> (
-          match Negate.related_constraints pi (Term.var_ids value_i) with
+          match Word.cone ~seed:value_i pi.Predicate.constraints with
           | _ :: _ -> None
           | [] -> (
-              match Slice.injective_image_bits value_i with
+              match Word.image_bits value_i with
               | Some vw when vw > 0 -> Some true
               | _ -> None)))
   | None -> (
-      match Negate.related_constraints pj (Term.var_ids value_j) with
+      match Word.cone ~seed:value_j pj.Predicate.constraints with
       | [] -> Some false
       | _ :: _ -> None)
 
@@ -78,7 +78,7 @@ let check_allocs ~layout field_name (pj : Predicate.client_path) =
   match Term.const_value value with
   | Some _ -> 1
   | None -> (
-      match Negate.related_constraints pj (Term.var_ids value) with
+      match Word.cone ~seed:value pj.Predicate.constraints with
       | [] -> 1
       | constraints ->
           1
@@ -93,7 +93,7 @@ let check_allocs ~layout field_name (pj : Predicate.client_path) =
    the signature pair, which collapses the quadratic blow-up. *)
 let field_signature ~layout field_name (p : Predicate.client_path) =
   let value = Layout.field_term layout p.Predicate.message field_name in
-  let constraints = Negate.related_constraints p (Term.var_ids value) in
+  let constraints = Word.cone ~seed:value p.Predicate.constraints in
   Term.alpha_key (value :: constraints)
 
 let compute ?(memoize = true) ?mask ?pool ?use_slice ?server_slice

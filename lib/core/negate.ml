@@ -2,20 +2,6 @@ open Achilles_smt
 open Achilles_symvm
 module Obs = Achilles_obs.Obs
 
-let related_constraints (path : Predicate.client_path) seed_ids =
-  let rec closure ids =
-    let selected =
-      List.filter
-        (fun c -> List.exists (fun id -> List.mem id ids) (Term.var_ids c))
-        path.Predicate.constraints
-    in
-    let ids' =
-      List.sort_uniq compare (ids @ List.concat_map Term.var_ids selected)
-    in
-    if List.length ids' = List.length ids then selected else closure ids'
-  in
-  closure (List.sort_uniq compare seed_ids)
-
 (* Rename every variable of [terms] to a fresh copy; returns the renaming
    substitution applied to each term. *)
 let rename_fresh terms =
@@ -37,8 +23,7 @@ let negate_field ~layout ~target (path : Predicate.client_path) field_name =
       (* case 1: concrete value; the negation is target <> C *)
       Some (Term.neq target (Term.const c))
   | None -> (
-      let ids = Term.var_ids value in
-      match related_constraints path ids with
+      match Word.cone ~seed:value path.Predicate.constraints with
       | [] -> None (* case 2 with no constraints: abandon the field *)
       | constraints -> (
           match rename_fresh (value :: constraints) with

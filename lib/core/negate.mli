@@ -19,10 +19,6 @@
 open Achilles_smt
 open Achilles_symvm
 
-val related_constraints : Predicate.client_path -> int list -> Term.t list
-(** Path constraints transitively influencing the given variable ids: the
-    closure adds any constraint sharing a variable with the growing set. *)
-
 val negate_field :
   layout:Layout.t ->
   target:Term.t ->

@@ -294,7 +294,7 @@ let describe_grammar ?mask (pc : Predicate.client_predicate) =
               match Term.const_value value with
               | Some c -> `Const c
               | None -> (
-                  match Negate.related_constraints p (Term.var_ids value) with
+                  match Word.cone ~seed:value p.Predicate.constraints with
                   | [] -> `Full
                   | constraints -> `Range (value, constraints)))
             pc.Predicate.paths

@@ -248,11 +248,6 @@ let rec flatten_and t =
   | T.And (a, b) -> flatten_and a @ flatten_and b
   | _ -> [ t ]
 
-let rec segments t =
-  match t.T.node with
-  | T.Concat (a, b) -> segments a @ segments b
-  | _ -> [ t ]
-
 let bare_aux is_aux t =
   match t.T.node with
   | T.Var v when is_aux v.T.id -> Some v
@@ -262,7 +257,7 @@ let bare_aux is_aux t =
    splits into per-segment equations (surfacing one-point opportunities).
    [None] when the boundaries don't line up. *)
 let split_eq a b =
-  let sa = segments a and sb = segments b in
+  let sa = Word.parts a and sb = Word.parts b in
   if List.length sa <= 1 || List.length sa <> List.length sb then None
   else
     let rec go sa sb acc =
@@ -631,20 +626,23 @@ let compile_conjunct ~budget b msg_vars is_aux t =
    for the whole query, checked with two compares per gate before the DAG
    runs. *)
 let gates_of direct byte_of =
-  match Interval.analyze direct with
+  match Word.bounds direct with
   | None -> None (* the pure-message part alone is unsatisfiable *)
   | Some bounds ->
       Some
         (List.filter_map
-           (fun ((v : T.var), (b : Interval.bounds)) ->
-             match Hashtbl.find_opt byte_of v.T.id with
-             | Some byte when b.Interval.lo > 0L || b.Interval.hi < 255L ->
-                 Some
-                   {
-                     g_byte = byte;
-                     g_lo = Int64.to_int b.Interval.lo;
-                     g_hi = Int64.to_int b.Interval.hi;
-                   }
+           (fun ((base : T.t), (b : Word.range)) ->
+             match base.T.node with
+             | T.Var v -> (
+                 match Hashtbl.find_opt byte_of v.T.id with
+                 | Some byte when b.Word.lo > 0L || b.Word.hi < 255L ->
+                     Some
+                       {
+                         g_byte = byte;
+                         g_lo = Int64.to_int b.Word.lo;
+                         g_hi = Int64.to_int b.Word.hi;
+                       }
+                 | _ -> None)
              | _ -> None)
            bounds
         |> Array.of_list)

@@ -18,7 +18,7 @@
       [rid <> last_rid] freshness check against over-approximated local
       state), and what remains is projected onto its message bytes by
       solver model enumeration, collapsed to unsigned ranges;
-    - per-state byte-interval gates (from {!Achilles_smt.Interval}) reject
+    - per-state byte-interval gates (from {!Achilles_smt.Word.bounds}) reject
       most messages with a handful of compares before the DAG runs.
 
     Residues the compiler cannot settle exactly become three-valued

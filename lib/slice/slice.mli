@@ -13,12 +13,12 @@
       state updates and sends each field can reach).
     - {!make_oracle} builds an {!Achilles_symvm.Interp.oracle}: branch
       feasibility answered from the variable-connected {e cone} of the path
-      instead of the whole path, with equality chains on one base term
-      decided statically and the rest answered by a memoized cone-restricted
-      solver query.
-    - {!injective_image_bits} is the value-set machinery [Different_from]
-      uses to decide provably-different / provably-contained field pairs
-      without a solver.
+      instead of the whole path, decided statically by
+      {!Achilles_smt.Word.decide} where every conjunct is an atom chain on
+      one base term, and otherwise by a memoized cone-restricted solver
+      query. The word-level reasoning itself (atoms, images, cones) lives
+      in {!Achilles_smt.Word}; this module owns only the taint analysis and
+      the oracle's memo and counters.
 
     {b Soundness bar.} Slicing is a pure decision optimization: on clean
     (unbudgeted, fault-free) runs every verdict it produces coincides with
@@ -28,7 +28,6 @@
     spill to whole buffers), so "field reaches no branch" is a proof, never
     a guess. *)
 
-open Achilles_smt
 open Achilles_symvm
 
 val enabled : unit -> bool
@@ -99,17 +98,6 @@ val pp_summary : Format.formatter -> summary -> unit
 (** Stable rendering (the golden-test format): the branch census with
     taints, then the per-field dependence table. *)
 
-(** {1 Value-set machinery} *)
-
-val injective_image_bits : Term.t -> int option
-(** [Some k] when the term is a concatenation chain of constants and
-    pairwise-distinct variables — an injective function of its variables
-    whose image has exactly [2^k] values ([k] = total variable width).
-    Plain variables and zero-extended variables qualify; [None] means the
-    term's value set is not statically known. Used to decide "does this
-    unconstrained field value escape a single concrete value" without a
-    solver. *)
-
 (** {1 The feasibility oracle} *)
 
 val make_oracle : unit -> Interp.oracle
@@ -117,18 +105,18 @@ val make_oracle : unit -> Interp.oracle
     thread-safe and must not cross domains). Given a known-satisfiable
     [path] and a branch condition [cond], it:
 
-    + restricts the path to the {e cone} — the transitive var-sharing
-      closure of the path's conjuncts seeded from [cond]'s variables; since
-      the rest of the path is satisfiable and shares no variable with
-      [cond] or the cone, [SAT(path /\ cond) = SAT(cone /\ cond)];
-    + decides atom chains over a single shared base term statically
-      (counter [slice.branch_skipped]): equality/disequality chains over
-      injective concatenation chains, and unsigned-comparison intervals
-      over bases with a contiguous image (exact range-minus-holes
-      counting). This is the field-level subsumption upgrade: only the
-      constraints on the branch's own read set are consulted, and e.g. a
-      switch case is killed by the preceding cases' disequalities, or a
-      guard chain [x > a, x < b] decided, without any solver work;
+    + restricts the path to the {e cone} ({!Achilles_smt.Word.cone}) — the
+      transitive var-sharing closure of the path's conjuncts seeded from
+      [cond]'s variables; since the rest of the path is satisfiable and
+      shares no variable with [cond] or the cone,
+      [SAT(path /\ cond) = SAT(cone /\ cond)];
+    + decides atom chains over a single shared base term statically with
+      {!Achilles_smt.Word.decide} (counter [slice.branch_skipped]): pinning,
+      injective concatenation images and exact range-minus-holes counting.
+      This is the field-level subsumption upgrade: only the constraints on
+      the branch's own read set are consulted, and e.g. a switch case is
+      killed by the preceding cases' disequalities, or a guard chain
+      [x > a, x < b] decided, without any solver work;
     + otherwise answers with a scratch solver query over [cond :: cone]
       (counter [slice.cone_queries]), memoized on the alpha-canonical key
       of the cone (counter [slice.memo_hits]); [Unknown] degrades to

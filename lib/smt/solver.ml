@@ -484,7 +484,7 @@ let check ?conflict_limit terms =
                 if Obs.live () then Obs.emit ~kind:"cache" ~name:"miss" ()
               end;
               let r =
-                if Interval.definitely_unsat key then begin
+                if Option.is_none (Word.bounds key) then begin
                   st.interval_prunes <- st.interval_prunes + 1;
                   Unsat
                 end
@@ -631,7 +631,7 @@ module Frames = struct
             st.unsat_results <- st.unsat_results + 1;
             Unsat
         | Some [] -> Sat Model.empty
-        | Some key when Interval.definitely_unsat key ->
+        | Some key when Option.is_none (Word.bounds key) ->
             (* same sound pre-check the scratch path runs; the whole
                canonical conjunction stands in for a core (the analysis
                does not localize the conflict) *)

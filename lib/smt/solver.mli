@@ -2,8 +2,8 @@
     terms over the QF_BV theory.
 
     Pipeline per query: structural canonicalization (flatten conjunctions,
-    dedupe, detect trivial answers) -> result cache lookup -> unsigned
-    interval pre-check -> bitblasting -> CDCL SAT search -> model
+    dedupe, detect trivial answers) -> result cache lookup -> word-level
+    unsat pre-check ({!Word.bounds}) -> bitblasting -> CDCL SAT search -> model
     extraction.
 
     The cache and the statistics are per-domain ([Domain.DLS]): every domain
@@ -187,7 +187,7 @@ type stats = {
   mutable queries : int;
   mutable cache_hits : int;
   mutable cache_misses : int; (* enabled-cache lookups that missed *)
-  mutable interval_prunes : int; (* queries settled by the interval check *)
+  mutable interval_prunes : int; (* queries settled by [Word.bounds] *)
   mutable sat_calls : int;
   mutable sat_results : int;
   mutable unsat_results : int;

@@ -98,7 +98,7 @@ let test_negate_path_overlap_discard () =
   Alcotest.(check bool) "kept without the check" false
     (Term.equal unsound Term.fls)
 
-let test_negate_related_constraints_transitive () =
+let test_word_cone_transitive () =
   let x = fresh8 "x" and y = fresh8 "y" in
   let path =
     path_of ~kind:(Term.int ~width:8 1) ~value:(Term.var x)
@@ -108,9 +108,60 @@ let test_negate_related_constraints_transitive () =
           Term.ult (Term.var y) (Term.const (b8 5));
         ]
   in
-  let related = Negate.related_constraints path [ x.Term.id ] in
+  let related = Word.cone ~seed:(Term.var x) path.Predicate.constraints in
   Alcotest.(check int) "closure pulls in the y constraint" 2
     (List.length related)
+
+(* [Word.cone] is the closure [Negate] renames, so its order feeds the fresh
+   variable numbering and hence the report digests: the result must be an
+   in-order subsequence of the path, closed (no excluded conjunct shares a
+   variable with the seed or the result) and connected (every kept conjunct
+   is reached from the seed through kept conjuncts). *)
+let qcheck_cone_closure =
+  let pool =
+    Array.init 6 (fun i -> Term.var (fresh8 (Printf.sprintf "c%d" i)))
+  in
+  let gen_term =
+    QCheck2.Gen.(
+      let* a = int_range 0 5 and* b = int_range 0 5 and* c = int_range 0 255 in
+      oneofl
+        [
+          Term.ult pool.(a) (Term.const (b8 c));
+          Term.eq pool.(a) pool.(b);
+          Term.ule (Term.add pool.(a) pool.(b)) (Term.const (b8 c));
+          Term.bool (c land 1 = 0);
+        ])
+  in
+  let shares a b =
+    List.exists (fun id -> List.mem id (Term.var_ids b)) (Term.var_ids a)
+  in
+  QCheck2.Test.make ~name:"cone keeps negate's closure" ~count:300
+    ~print:(fun (seed, ts) ->
+      String.concat " ; " (List.map Term.to_string (seed :: ts)))
+    QCheck2.Gen.(pair gen_term (list_size (int_range 0 8) gen_term))
+    (fun (seed, terms) ->
+      let cone = Word.cone ~seed terms in
+      (* greedy matching: duplicates share their variables, so any match
+         has the same excluded set *)
+      let rec split excluded cone = function
+        | [] -> if cone = [] then Some excluded else None
+        | t :: ts -> (
+            match cone with
+            | c :: cs when Term.equal c t -> split excluded cs ts
+            | _ -> split (t :: excluded) cone ts)
+      in
+      let rec reach seen rest =
+        match List.partition (fun t -> List.exists (shares t) seen) rest with
+        | [], rest -> rest
+        | hit, rest -> reach (hit @ seen) rest
+      in
+      match split [] cone terms with
+      | None -> false
+      | Some excluded ->
+          List.for_all
+            (fun t -> not (List.exists (shares t) (seed :: cone)))
+            excluded
+          && reach [ seed ] cone = [])
 
 (* negate is an under-approximation and, with the overlap check, has no
    false positives: any model of negate_path names a message the client
@@ -478,9 +529,9 @@ let () =
           Alcotest.test_case "overlap discard" `Quick
             test_negate_path_overlap_discard;
           Alcotest.test_case "transitive constraints" `Quick
-            test_negate_related_constraints_transitive;
+            test_word_cone_transitive;
         ] );
-      qsuite "negate-properties" [ qcheck_negate_sound ];
+      qsuite "negate-properties" [ qcheck_negate_sound; qcheck_cone_closure ];
       ( "predicate",
         [
           Alcotest.test_case "bind to server" `Quick test_bind_to_server;

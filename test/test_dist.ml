@@ -718,29 +718,43 @@ let digest_of_output content =
       | _ -> None)
     (String.split_on_char '\n' content)
 
+(* Single-process and [--workers 2] runs share one analysis front half, so
+   their digests agree: [rw], [gossip] (a custom client interpreter) and
+   [pbft] (local-state over-approximation on the server). *)
 let test_real_worker_processes () =
   match cli_binary () with
   | None -> print_endline "achilles_cli.exe not built here; skipping"
   | Some binary ->
-      let status1, out1 = run_cli binary [ "analyze"; "rw"; "--digest" ] in
-      Alcotest.(check bool) "single-process run exits 0" true
-        (status1 = Unix.WEXITED 0);
-      let workdir = fresh_workdir "achilles-dist-proc" in
-      let status2, out2 =
-        run_cli binary
-          [
-            "analyze"; "rw"; "--digest"; "--workers"; "2"; "--work-dir";
-            workdir; "--lease-ttl"; "5";
-          ]
-      in
-      rm_rf workdir;
-      Alcotest.(check bool) "distributed run exits 0" true
-        (status2 = Unix.WEXITED 0);
-      match (digest_of_output out1, digest_of_output out2) with
-      | Some d1, Some d2 ->
-          Alcotest.(check string)
-            "real worker processes reproduce the single-process digest" d1 d2
-      | _ -> Alcotest.fail "no report digest in CLI output"
+      List.iter
+        (fun target ->
+          let status1, out1 =
+            run_cli binary [ "analyze"; target; "--digest" ]
+          in
+          Alcotest.(check bool)
+            (target ^ ": single-process run exits 0")
+            true
+            (status1 = Unix.WEXITED 0);
+          let workdir = fresh_workdir "achilles-dist-proc" in
+          let status2, out2 =
+            run_cli binary
+              [
+                "analyze"; target; "--digest"; "--workers"; "2"; "--work-dir";
+                workdir; "--lease-ttl"; "5";
+              ]
+          in
+          rm_rf workdir;
+          Alcotest.(check bool)
+            (target ^ ": distributed run exits 0")
+            true
+            (status2 = Unix.WEXITED 0);
+          match (digest_of_output out1, digest_of_output out2) with
+          | Some d1, Some d2 ->
+              Alcotest.(check string)
+                (target
+               ^ ": real worker processes reproduce the single-process digest")
+                d1 d2
+          | _ -> Alcotest.failf "%s: no report digest in CLI output" target)
+        [ "rw"; "gossip"; "pbft" ]
 
 (* A damaged manifest is refused before anything in it is trusted. The run
    id sits verbatim in the manifest bytes; one changed hex digit there

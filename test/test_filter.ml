@@ -254,6 +254,28 @@ let test_exact_compilation () =
         (Filter.state_count filter > 0))
     compiled
 
+(* MD5 of every target's serialized image: compilation is deterministic, so
+   a change to the front end (Word's bounds, elimination, lowering) that
+   moves a single byte of any image shows up here *)
+let pinned_images =
+  [
+    ("fsp", "b6aa5cc6324b7141bf97bca3352e07aa");
+    ("pbft", "e210182f498b537b0336b1a8bbdf8df3");
+    ("kv", "af72630df463592088cd4c52eed4fb5c");
+    ("gossip", "8bed2699cbcca7836021e68408f4e819");
+    ("paxos", "f0b7d05d234b541c1bfa170116ab92dd");
+  ]
+
+let test_pinned_images () =
+  List.iter
+    (fun (name, expected) ->
+      let _, _, filter = force name in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: image MD5" name)
+        expected
+        (Digest.to_hex (Digest.string (Filter.to_string filter))))
+    pinned_images
+
 let test_wrong_length_is_unknown () =
   let _, _, filter = force "fsp" in
   let ev = Filter.evaluator filter in
@@ -879,6 +901,7 @@ let () =
             test_exact_compilation;
           Alcotest.test_case "wrong length is unknown" `Quick
             test_wrong_length_is_unknown;
+          Alcotest.test_case "pinned images" `Quick test_pinned_images;
         ] );
       ( "serialization",
         [

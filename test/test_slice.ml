@@ -183,21 +183,21 @@ let test_field_reachability () =
 
 (* --- value-set machinery ------------------------------------------------------- *)
 
-let test_injective_image_bits () =
+let test_word_image_bits () =
   let v8 = Term.var (Term.fresh_var ~name:"a" (Term.Bitvec 8)) in
   let w8 = Term.var (Term.fresh_var ~name:"b" (Term.Bitvec 8)) in
   let bits = Alcotest.(option int) in
-  Alcotest.check bits "plain var" (Some 8) (Slice.injective_image_bits v8);
+  Alcotest.check bits "plain var" (Some 8) (Word.image_bits v8);
   Alcotest.check bits "zero-extended var" (Some 8)
-    (Slice.injective_image_bits (Term.zero_extend ~by:8 v8));
+    (Word.image_bits (Term.zero_extend ~by:8 v8));
   Alcotest.check bits "concat of distinct vars" (Some 16)
-    (Slice.injective_image_bits (Term.concat v8 w8));
+    (Word.image_bits (Term.concat v8 w8));
   Alcotest.check bits "repeated var is not injective" None
-    (Slice.injective_image_bits (Term.concat v8 v8));
+    (Word.image_bits (Term.concat v8 v8));
   Alcotest.check bits "constant has a 1-value image" (Some 0)
-    (Slice.injective_image_bits (Term.const (Bv.of_int ~width:8 5)));
+    (Word.image_bits (Term.const (Bv.of_int ~width:8 5)));
   Alcotest.check bits "arithmetic is opaque" None
-    (Slice.injective_image_bits (Term.add v8 w8))
+    (Word.image_bits (Term.add v8 w8))
 
 (* --- the oracle's static decisions --------------------------------------------- *)
 
@@ -656,7 +656,7 @@ let () =
       ( "value-set",
         [
           Alcotest.test_case "injective image bits" `Quick
-            test_injective_image_bits;
+            test_word_image_bits;
         ] );
       ( "oracle",
         [

@@ -415,19 +415,21 @@ let qcheck_incremental_matches_oneshot =
           incremental = oneshot)
         queries)
 
-(* --- interval pre-check ----------------------------------------------------- *)
+(* --- word-level reasoning ---------------------------------------------------- *)
+
+let unsat terms = Option.is_none (Word.bounds terms)
 
 let test_interval_prunes () =
   let x = fresh8 "x" in
   let vx = Term.var x in
   Alcotest.(check bool) "x < 5 && x > 10 pruned" true
-    (Interval.definitely_unsat [ Term.ult vx (t8 5); Term.ugt vx (t8 10) ]);
+    (unsat [ Term.ult vx (t8 5); Term.ugt vx (t8 10) ]);
   Alcotest.(check bool) "x < 5 && x = 3 kept" false
-    (Interval.definitely_unsat [ Term.ult vx (t8 5); Term.eq vx (t8 3) ]);
+    (unsat [ Term.ult vx (t8 5); Term.eq vx (t8 3) ]);
   Alcotest.(check bool) "x = 4 && x <> 4 pruned" true
-    (Interval.definitely_unsat [ Term.eq vx (t8 4); Term.neq vx (t8 4) ]);
+    (unsat [ Term.eq vx (t8 4); Term.neq vx (t8 4) ]);
   Alcotest.(check bool) "edge tightening: 3 <= x <= 4, x<>3, x<>4" true
-    (Interval.definitely_unsat
+    (unsat
        [
          Term.ule (t8 3) vx; Term.ule vx (t8 4); Term.neq vx (t8 3);
          Term.neq vx (t8 4);
@@ -438,8 +440,65 @@ let test_interval_never_wrong () =
   let x = fresh8 "x" in
   let vx = Term.var x in
   let terms = [ Term.ule (t8 200) vx; Term.neq vx (t8 200); Term.neq vx (t8 255) ] in
-  Alcotest.(check bool) "not pruned" false (Interval.definitely_unsat terms);
+  Alcotest.(check bool) "not pruned" false (unsat terms);
   match check_sat terms with `Sat _ -> () | _ -> Alcotest.fail "expected SAT"
+
+let test_word_images () =
+  (* the concat-chain images decide without pinning; other bases do not *)
+  let r = Term.var (Term.fresh_var ~name:"r" (Term.Bitvec 2)) in
+  let base = Term.concat r (Term.int ~width:6 0x15) in
+  (* image: 0x15, 0x55, 0x95, 0xD5 *)
+  let holes vs = List.map (fun v -> Term.neq base (t8 v)) vs in
+  let decided = Alcotest.(option bool) in
+  Alcotest.check decided "three of four image values excluded" (Some true)
+    (Word.decide ~sat:(holes [ 0x15; 0x55; 0x00 ]) (Term.neq base (t8 0x95)));
+  Alcotest.check decided "all four excluded" (Some false)
+    (Word.decide ~sat:(holes [ 0x15; 0x55; 0xD5 ]) (Term.neq base (t8 0x95)));
+  Alcotest.check decided "outside the image" (Some false)
+    (Word.decide ~sat:[] (Term.eq base (t8 0x16)));
+  Alcotest.check decided "inside the image" (Some true)
+    (Word.decide ~sat:(holes [ 0x15 ]) (Term.eq base (t8 0x55)));
+  Alcotest.check decided "a range over a non-contiguous image is left alone"
+    None
+    (Word.decide ~sat:[ Term.ult base (t8 0x60) ] (Term.neq base (t8 0x15)));
+  let rr = Term.concat r r in
+  Alcotest.check decided "non-injective base is left alone" None
+    (Word.decide ~sat:[] (Term.eq rr (Term.int ~width:4 0x6)));
+  Alcotest.check decided "a pinned non-injective base is decided" (Some false)
+    (Word.decide ~sat:[ Term.eq rr (Term.int ~width:4 0x5) ]
+       (Term.ult rr (Term.int ~width:4 0x5)))
+
+let test_word_64bit_edges () =
+  (* unsigned arithmetic over the full width: no sign flips at the top *)
+  let x = Term.var (Term.fresh_var ~name:"x64" (Term.Bitvec 64)) in
+  let c v = Term.const (Bv.make ~width:64 v) in
+  Alcotest.(check bool) "x > 2^64-2 && x <> 2^64-1 pruned" true
+    (unsat
+       [
+         Term.ugt x (c 0xFFFF_FFFF_FFFF_FFFEL);
+         Term.neq x (c 0xFFFF_FFFF_FFFF_FFFFL);
+       ]);
+  Alcotest.(check bool) "x > 2^64-2 kept" false
+    (unsat [ Term.ugt x (c 0xFFFF_FFFF_FFFF_FFFEL) ]);
+  Alcotest.(check (list (pair int64 int64)))
+    "x > 2^64-3 && x <> 2^64-1 tightens to the point 2^64-2"
+    [ (0xFFFF_FFFF_FFFF_FFFEL, 0xFFFF_FFFF_FFFF_FFFEL) ]
+    (match
+       Word.bounds
+         [
+           Term.ugt x (c 0xFFFF_FFFF_FFFF_FFFDL);
+           Term.neq x (c 0xFFFF_FFFF_FFFF_FFFFL);
+         ]
+     with
+    | Some ranges -> List.map (fun (_, (r : Word.range)) -> (r.lo, r.hi)) ranges
+    | None -> []);
+  Alcotest.(check (option bool)) "x > 2^63 decides x <> 0 true" (Some true)
+    (Word.decide ~sat:[ Term.ugt x (c Int64.min_int) ] (Term.neq x (c 0L)));
+  Alcotest.(check (option bool)) "x >= 2^64-1 decides x < 2^64-1 false"
+    (Some false)
+    (Word.decide
+       ~sat:[ Term.uge x (c 0xFFFF_FFFF_FFFF_FFFFL) ]
+       (Term.ult x (c 0xFFFF_FFFF_FFFF_FFFFL)))
 
 (* --- property tests over the full solver ------------------------------------ *)
 
@@ -515,38 +574,132 @@ let qcheck_solver_matches_enumeration =
       | `Unsat -> not expected
       | `Unknown -> false)
 
-(* the interval pre-check may only ever answer "unsat" when the solver
-   agrees *)
-let qcheck_interval_sound =
-  let x = Term.fresh_var ~name:"ivx" (Term.Bitvec 8) in
-  let gen_atom =
-    QCheck2.Gen.(
-      let* c = int_range 0 255 in
-      let* flip = bool in
-      let+ kind = int_range 0 3 in
-      let atom =
-        match kind with
-        | 0 -> Term.ult (Term.var x) (t8 c)
-        | 1 -> Term.ule (t8 c) (Term.var x)
-        | 2 -> Term.eq (Term.var x) (t8 c)
-        | _ -> Term.neq (Term.var x) (t8 c)
-      in
-      if flip then Term.not_ atom else atom)
+(* Word against brute force: [bounds] may only prune unsatisfiable
+   conjunctions and [decide] may only answer the exact verdict. Each case
+   draws its bases from one family of variables totalling 8 bits, so
+   enumeration stays at 2^8 models: a plain 8-bit var; two 4-bit vars under
+   zero_extend, concat of distinct vars, concat const var and the
+   non-injective concat p p; a 2-bit and a 6-bit var under concat var const
+   (an injective image with a constant in the low bits: 4 values, not
+   contiguous). Most constants are one of two per-case anchors — a base's
+   value under a random model, nudged by at most one — so atoms pin, hole
+   and bound the same values and meet at the image's edges.
+   The solver itself consults [bounds], so it would not be an independent
+   witness. *)
+let qcheck_word_matches_enumeration =
+  let var name w = Term.fresh_var ~name (Term.Bitvec w) in
+  let x = var "wx" 8 and p = var "wp" 4 and q = var "wq" 4 in
+  let r = var "wr" 2 and s = var "ws" 6 in
+  let vp = Term.var p and vq = Term.var q in
+  let vr = Term.var r and vs = Term.var s in
+  let families =
+    [|
+      ([ (x, 8) ], [ Term.var x ]);
+      ( [ (p, 4); (q, 4) ],
+        [
+          Term.zero_extend ~by:4 vp;
+          Term.concat vp vq;
+          Term.concat (Term.int ~width:4 0xA) vq;
+          Term.concat vp vp;
+        ] );
+      ( [ (r, 2); (s, 6) ],
+        [ Term.concat vr (Term.int ~width:6 0x15); Term.concat vs vr ] );
+    |]
   in
-  QCheck2.Test.make ~name:"interval pre-check is sound" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 5) gen_atom)
-    (fun atoms ->
-      if Interval.definitely_unsat atoms then begin
-        (* verify against brute force (the solver itself consults the
-           interval check, so it would not be an independent witness) *)
-        let satisfiable = ref false in
-        for v = 0 to 255 do
-          let m = Model.add_bv x (Bv.of_int ~width:8 v) Model.empty in
-          if Model.satisfies m atoms then satisfiable := true
-        done;
-        not !satisfiable
-      end
-      else true)
+  let model vars n =
+    Model.of_list
+      (snd
+         (List.fold_left
+            (fun (shift, acc) (v, w) ->
+              let bits = (n lsr shift) land ((1 lsl w) - 1) in
+              (shift + w, (v, Model.Vbv (Bv.of_int ~width:w bits)) :: acc))
+            (0, []) vars))
+  in
+  let gen =
+    let open QCheck2.Gen in
+    let* fam = int_range 0 2 in
+    let vars, bases = families.(fam) in
+    (* half the cases stay on one base, where decide can answer *)
+    let* bases = oneof [ return bases; map (fun b -> [ b ]) (oneofl bases) ] in
+    let* anchors =
+      list_repeat 2
+        (let* base = oneofl bases and* n = int_range 0 255 in
+         return (Bv.to_int (Model.eval_bv (model vars n) base)))
+    in
+    let atom =
+      let* base = oneofl bases in
+      let* c =
+        frequency
+          [
+            (1, int_range 0 255);
+            ( 3,
+              let* a = oneofl anchors and* nudge = int_range (-1) 1 in
+              return ((a + nudge) land 0xFF) );
+          ]
+      in
+      let+ kind = int_range 0 5 in
+      let c = t8 c in
+      match kind with
+      | 0 -> Term.eq base c
+      | 1 -> Term.neq base c
+      | 2 -> Term.ult base c
+      | 3 -> Term.ule base c
+      | 4 -> Term.ugt base c
+      | _ -> Term.uge base c
+    in
+    (* a conjunct and whether it is an atom conjunction: a negated
+       conjunction is a disjunction Word cannot decide *)
+    let rec conjunct depth =
+      let* a = atom in
+      let* kind =
+        frequency
+          ((3, return 0) :: (3, return 1)
+          :: (if depth = 0 then [] else [ (2, return 2); (1, return 3) ]))
+      in
+      match kind with
+      | 0 -> return (a, true)
+      | 1 -> return (Term.not_ a, true)
+      | 2 ->
+          let* l, el = conjunct (depth - 1) in
+          let+ r, er = conjunct (depth - 1) in
+          (Term.and_ l r, el && er)
+      | _ ->
+          let* l, _ = conjunct (depth - 1) in
+          let+ r, _ = conjunct (depth - 1) in
+          (Term.not_ (Term.and_ l r), false)
+    in
+    pair (return fam) (list_size (int_range 1 5) (conjunct 2))
+  in
+  let print (_, cs) =
+    String.concat " /\\ " (List.map (fun (t, _) -> Term.to_string t) cs)
+  in
+  QCheck2.Test.make ~name:"word matches enumeration"
+    ~count:5000 ~print gen (fun (fam, conjuncts) ->
+      let models = List.init 256 (model (fst families.(fam))) in
+      let sat ts = List.exists (fun m -> Model.satisfies m ts) models in
+      let terms = List.map fst conjuncts in
+      let cond = List.hd terms and rest = List.tl terms in
+      (match Word.bounds terms with
+      | None -> not (sat terms)
+      | Some ranges ->
+          (* every model keeps every base inside its range *)
+          List.for_all
+            (fun m ->
+              (not (Model.satisfies m terms))
+              || List.for_all
+                   (fun (b, (r : Word.range)) ->
+                     let v = Bv.value (Model.eval_bv m b) in
+                     Int64.unsigned_compare r.lo v <= 0
+                     && Int64.unsigned_compare v r.hi <= 0)
+                   ranges)
+            models)
+      && ((not (sat rest))
+         ||
+         match Word.decide ~sat:rest cond with
+         | Some b -> b = sat terms
+         | None ->
+             (* complete over a plain var: the old interval cases *)
+             not (fam = 0 && List.for_all snd conjuncts)))
 
 let qcheck_model_satisfies =
   (* any SAT answer must come with a model that satisfies the query *)
@@ -621,11 +774,13 @@ let () =
           Alcotest.test_case "prunes contradictions" `Quick test_interval_prunes;
           Alcotest.test_case "sound on satisfiable" `Quick
             test_interval_never_wrong;
+          Alcotest.test_case "64-bit edges" `Quick test_word_64bit_edges;
+          Alcotest.test_case "images" `Quick test_word_images;
         ] );
       qsuite "solver-properties"
         [
           qcheck_solver_matches_enumeration;
           qcheck_model_satisfies;
-          qcheck_interval_sound;
+          qcheck_word_matches_enumeration;
         ];
     ]
