@@ -18,6 +18,7 @@ open Achilles_smt
 open Achilles_symvm
 open Achilles_core
 open Achilles_baselines
+module Obs = Achilles_obs.Obs
 open Achilles_runtime
 open Achilles_targets
 
@@ -606,6 +607,7 @@ let experiment_scaling () =
     (* identical starting state for every run so the reports (including
        fresh-variable ids) are comparable byte for byte *)
     Solver.reset_all_for_tests ();
+    Obs.reset_all ();
     Term.set_fresh_counter 0;
     let t0 = Unix.gettimeofday () in
     let analysis =
@@ -614,31 +616,38 @@ let experiment_scaling () =
         ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
         ~server:Fsp_model.server ()
     in
-    (analysis, Unix.gettimeofday () -. t0)
+    let t = Unix.gettimeofday () -. t0 in
+    (* witness jobs forked, and those another domain than the forking
+       shard's ran *)
+    let counters = (Obs.aggregate ()).Obs.counters in
+    let get name = Option.value ~default:0 (List.assoc_opt name counters) in
+    (analysis, t, (get "search.witness_jobs", get "search.witness_jobs_remote"))
   in
   let runs = List.map (fun d -> (d, run d)) [ 1; 2; 4 ] in
-  let _, (_, t1) = List.hd runs in
+  let _, (_, t1, _) = List.hd runs in
   let base_digest =
-    let _, (a, _) = List.hd runs in
+    let _, (a, _, _) = List.hd runs in
     Report.report_digest a.Achilles.report
   in
-  Format.printf "  %-8s %10s %10s %9s  %s@." "domains" "total (s)"
-    "server (s)" "speedup" "report digest";
+  Format.printf "  %-8s %10s %10s %9s %12s  %s@." "domains" "total (s)"
+    "server (s)" "speedup" "jobs/remote" "report digest";
   let rows =
     List.map
-      (fun (d, ((analysis : Achilles.analysis), t)) ->
+      (fun (d, ((analysis : Achilles.analysis), t, (jobs, remote))) ->
         let digest = Report.report_digest analysis.Achilles.report in
         let server = analysis.Achilles.timing.Achilles.server_analysis in
-        Format.printf "  %-8d %10.2f %10.2f %8.2fx  %s%s@." d t server
-          (t1 /. max t 1e-9) digest
+        Format.printf "  %-8d %10.2f %10.2f %8.2fx %12s  %s%s@." d t server
+          (t1 /. max t 1e-9)
+          (Printf.sprintf "%d/%d" jobs remote)
+          digest
           (if digest = base_digest then "" else "  << MISMATCH");
-        Printf.sprintf "%d,%.4f,%.4f,%.4f,%s" d t server (t1 /. max t 1e-9)
-          digest)
+        Printf.sprintf "%d,%.4f,%.4f,%.4f,%d,%d,%s" d t server
+          (t1 /. max t 1e-9) jobs remote digest)
       runs
   in
   let all_equal =
     List.for_all
-      (fun (_, ((a : Achilles.analysis), _)) ->
+      (fun (_, ((a : Achilles.analysis), _, _)) ->
         Report.report_digest a.Achilles.report = base_digest)
       runs
   in
@@ -658,7 +667,8 @@ let experiment_scaling () =
      with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
     csv_dir := Some (Filename.concat "bench" "figures")
   end;
-  write_csv "scaling.csv" "domains,total_s,server_analysis_s,speedup,digest"
+  write_csv "scaling.csv"
+    "domains,total_s,server_analysis_s,speedup,witness_jobs,witness_jobs_remote,digest"
     rows;
   csv_dir := saved;
   if not all_equal then begin
@@ -737,8 +747,6 @@ let experiment_robustness () =
   if any_lost then exit 1
 
 (* --- E14: per-phase profile through the tracing layer ------------------------------- *)
-
-module Obs = Achilles_obs.Obs
 
 let experiment_profile () =
   banner "E14: per-phase time attribution — tracing + trace summarize";

@@ -1,11 +1,15 @@
-(* A fixed-size domain pool with per-worker work-stealing deques.
+(* A fixed-size domain pool with per-worker work-stealing deques, plus a
+   queue of jobs forked by running tasks.
 
-   Tasks are coarse (a whole route shard of the server search), so a single
-   pool-wide mutex around the deques is plenty: contention is a handful of
-   lock acquisitions per task, nothing against the seconds of solver work
-   inside one. Workers pop their own deque newest-first (LIFO keeps a
-   worker on the subtree it just split) and steal oldest-first from their
-   siblings (FIFO takes the biggest remaining chunk). *)
+   Work is coarse (a whole route shard of the server search per batch task,
+   one accepting state's witness enumeration per forked job), so a single
+   pool-wide mutex around the queues is plenty: contention is a handful of
+   lock acquisitions per task, nothing against the solver work inside one.
+   Workers pop their own deque newest-first (LIFO keeps a worker on the
+   subtree it just split) and steal oldest-first from their siblings (FIFO
+   takes the biggest remaining chunk). Forked jobs come before batch tasks:
+   a job is a piece of a task already running, and the task cannot finish
+   before its jobs do. *)
 
 module Obs = Achilles_obs.Obs
 
@@ -51,9 +55,11 @@ type task = { run : unit -> unit; index : int }
 type t = {
   size : int;
   mutex : Mutex.t;
-  work_ready : Condition.t; (* workers sleep here waiting for tasks *)
+  work_ready : Condition.t;
+      (* workers sleep here waiting for work, awaiting tasks for their job *)
   batch_done : Condition.t; (* the submitter sleeps here *)
   deques : task Deque.t array;
+  jobs : (unit -> unit) Queue.t; (* forked jobs, oldest first *)
   mutable outstanding : int;
   mutable in_flight : bool;
   mutable failure : (int * exn * Printexc.raw_backtrace) option;
@@ -62,6 +68,11 @@ type t = {
 }
 
 let size p = p.size
+
+(* The pool the calling domain works for; [None] outside any pool. *)
+let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+type work = Job of (unit -> unit) | Task of task
 
 (* Called with [p.mutex] held. *)
 let find_task p w =
@@ -84,16 +95,28 @@ let record_failure p index exn bt =
   | Some (i, _, _) when i <= index -> ()
   | _ -> p.failure <- Some (index, exn, bt)
 
+(* Called with [p.mutex] held. *)
+let find_work p w =
+  match Queue.take_opt p.jobs with
+  | Some job -> Some (Job job)
+  | None -> Option.map (fun t -> Task t) (find_task p w)
+
 let worker_loop p w =
+  Domain.DLS.set current (Some p);
   Mutex.lock p.mutex;
   let rec loop () =
     if p.stopping then Mutex.unlock p.mutex
     else
-      match find_task p w with
+      match find_work p w with
       | None ->
           Condition.wait p.work_ready p.mutex;
           loop ()
-      | Some task ->
+      | Some (Job job) ->
+          Mutex.unlock p.mutex;
+          job ();
+          Mutex.lock p.mutex;
+          loop ()
+      | Some (Task task) ->
           Mutex.unlock p.mutex;
           Obs.count "pool.tasks_executed";
           let failed =
@@ -121,6 +144,7 @@ let create ~domains =
       work_ready = Condition.create ();
       batch_done = Condition.create ();
       deques = Array.init domains (fun _ -> Deque.create ());
+      jobs = Queue.create ();
       outstanding = 0;
       in_flight = false;
       failure = None;
@@ -171,6 +195,69 @@ let parallel_map p f arr =
     run_tasks p (Array.init n (fun i () -> results.(i) <- Some (f arr.(i))));
     Array.map (function Some r -> r | None -> assert false) results
   end
+
+(* --- fork/join inside a task ---------------------------------------------- *)
+
+type 'a promise = {
+  owner : t option; (* [None]: ran inline at [async] *)
+  mutable outcome : ('a, exn * Printexc.raw_backtrace) result option;
+      (* written under [owner]'s mutex *)
+}
+
+let capture f =
+  match f () with
+  | v -> Ok v
+  | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
+
+let async f =
+  match Domain.DLS.get current with
+  | None -> { owner = None; outcome = Some (capture f) }
+  | Some p ->
+      let pr = { owner = Some p; outcome = None } in
+      let job () =
+        let r = capture f in
+        Mutex.lock p.mutex;
+        pr.outcome <- Some r;
+        Condition.broadcast p.work_ready;
+        Mutex.unlock p.mutex
+      in
+      Mutex.lock p.mutex;
+      Queue.push job p.jobs;
+      Condition.broadcast p.work_ready;
+      Mutex.unlock p.mutex;
+      pr
+
+(* While the job is pending, run queued jobs (any task's) in its place,
+   never a batch task: a task runs only on a worker's own stack, so
+   domain-local state it set up (counters, contexts) is never disturbed
+   by another task starting inside it. *)
+let await pr =
+  let outcome =
+    match pr.owner with
+    | None -> Option.get pr.outcome
+    | Some p ->
+        Mutex.lock p.mutex;
+        let rec wait () =
+          match pr.outcome with
+          | Some o -> o
+          | None -> (
+              match Queue.take_opt p.jobs with
+              | Some job ->
+                  Mutex.unlock p.mutex;
+                  job ();
+                  Mutex.lock p.mutex;
+                  wait ()
+              | None ->
+                  Condition.wait p.work_ready p.mutex;
+                  wait ())
+        in
+        let o = wait () in
+        Mutex.unlock p.mutex;
+        o
+  in
+  match outcome with
+  | Ok v -> v
+  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
 
 type 'b outcome = { result : ('b, exn) result; attempts : int }
 

@@ -1,15 +1,21 @@
 (** A fixed-size pool of domains with per-worker work-stealing deques.
 
-    Built for the parallel Trojan search: batches of coarse-grained tasks
-    (one route shard of the server exploration each) are distributed across
-    the workers' deques; a worker runs its own deque newest-first and steals
-    oldest-first from its siblings when it runs dry. Tasks must not submit
-    further batches themselves — one batch is in flight at a time, submitted
-    from (and awaited by) a single coordinating domain.
+    Built for the parallel Trojan search. Work comes at two grains:
 
-    Determinism: {!parallel_map} places results by task index, so the output
-    never depends on which worker ran which task or in what order tasks
-    finished. *)
+    - {e batch tasks} (one route shard of the server exploration each) are
+      distributed across the workers' deques; a worker runs its own deque
+      newest-first and steals oldest-first from its siblings when it runs
+      dry. Tasks must not submit further batches themselves — one batch is
+      in flight at a time, submitted from (and awaited by) a single
+      coordinating domain.
+    - {e forked jobs} (one accepting state's witness enumeration each) are
+      pieces of a running task, handed out with {!async}: an idle worker
+      runs them before any batch task, and the forking task joins them with
+      {!await}.
+
+    Determinism: {!parallel_map} places results by task index and {!await}
+    returns a job's own result, so the output never depends on which worker
+    ran which task or job, or in what order they finished. *)
 
 type t
 
@@ -30,6 +36,25 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val run_tasks : t -> (unit -> unit) array -> unit
 (** [parallel_map] for effectful tasks without results. *)
+
+type 'a promise
+(** The pending result of a forked job. *)
+
+val async : (unit -> 'a) -> 'a promise
+(** Fork a job. Called from a task running on a pool worker, the job is
+    queued on that pool for whichever worker is idle first. Called anywhere
+    else (the coordinating domain, a process without a pool), the thunk
+    runs inline at once and the promise is already resolved — so code that
+    forks runs the same with and without a pool. An exception the job
+    raises is kept for {!await}. Every forked job must be awaited: a job
+    left queued when its batch ends would run during a later batch. *)
+
+val await : 'a promise -> 'a
+(** The job's result, or its exception re-raised with its backtrace. While
+    the job is pending, the calling worker runs other queued jobs in its
+    place, never a batch task, so a task's domain-local state is not reset
+    by another task starting on its stack. Jobs must not wait on the tasks
+    that forked them. *)
 
 type 'b outcome = {
   result : ('b, exn) result;

@@ -230,6 +230,14 @@ let fresh_recorder () =
     rec_faults = 0;
   }
 
+(* One accepting state's witness enumeration, as a forked job returns it. *)
+type witness_job = {
+  wj_trojans : wtrojan list; (* enumeration order *)
+  wj_unknown : int; (* witness queries degraded to unconfirmed *)
+  wj_exhaustions : int; (* solver budget exhaustions inside the job *)
+  wj_faults : int; (* injected solver faults inside the job *)
+}
+
 (* Mutable search context shared by the interpreter hooks. *)
 type search_ctx = {
   cfg : config;
@@ -257,6 +265,10 @@ type search_ctx = {
   mutable n_unknown_prune : int;
   mutable n_unknown_witness : int;
   mutable n_abandoned : int; (* states cut off by cancellation *)
+  mutable jobs_rev : (int * witness_job Pool.promise) list;
+      (* forked witness jobs with their accepting state's id, newest first *)
+  mutable job_exhaustions : int; (* solver counts of the joined jobs *)
+  mutable job_faults : int;
   started : float;
 }
 
@@ -550,15 +562,118 @@ let witness_of_model vars model =
       | None -> Bv.zero 8)
     vars
 
+(* --- witness jobs ------------------------------------------------------------
+
+   Each accepting state's concrete witnesses are enumerated by one job
+   forked onto the domain pool ([Pool.async]): the shard that found the
+   state keeps exploring while an idle domain solves, and joins the job
+   before it returns. Where the job runs cannot show in the report:
+
+   - every witness query is a scratch [Solver.check], which decides a fresh
+     SAT instance built from the canonicalized query, so its model is the
+     same on any domain (a per-domain cache hit replays such a model);
+   - the job allocates no fresh variables, so the shard's id sequence is
+     untouched;
+   - its trojans carry their (route, index) sort key and [found_at] stamp,
+     and its Unknown, exhaustion and fault counts travel with its result
+     to the shard that forked it.
+
+   Outside a pool (sequential runs, distributed workers) the job runs
+   inline, so every mode runs this same code. *)
+
+(* Budget exhaustions and injected faults hit by witness jobs that ran on
+   this domain: they belong to the forking shard, not to this domain's. *)
+let job_solver_counts = Domain.DLS.new_key (fun () -> ref (0, 0))
+
+(* The calling domain's solver exhaustions and faults, net of those of the
+   witness jobs it ran. *)
+let own_solver_counts () =
+  let st = Solver.stats () in
+  let e, f = !(Domain.DLS.get job_solver_counts) in
+  (st.Solver.budget_exhaustions - e, st.Solver.injected_faults - f)
+
 (* Enumerate concrete Trojan witnesses on an accepting path, blocking each
-   discovered message (or message class) before re-solving. *)
+   discovered message (or message class) before re-solving. Runs under the
+   run's solver budget on whichever domain executes it. *)
+let enumerate_witnesses ~config ~started ~route ~label ~msg_vars base_query =
+  let block witness =
+    match config.distinct_by with
+    | Some f -> f witness msg_vars
+    | None ->
+        (* block exactly these bytes *)
+        Term.not_
+          (Term.and_l
+             (Array.to_list
+                (Array.mapi
+                   (fun i v -> Term.eq (Term.var msg_vars.(i)) (Term.const v))
+                   witness)))
+  in
+  let found ~n ~confirmed witness =
+    Obs.count "search.trojans_emitted";
+    if Obs.live () then
+      Obs.emit ~kind:"trojan" ~name:label
+        ~args:
+          [ ("route", Obs.S route); ("idx", Obs.I n); ("confirmed", Obs.B confirmed) ]
+        ();
+    {
+      wt_route = route;
+      wt_idx = n;
+      wt_label = label;
+      wt_witness = witness;
+      wt_symbolic = base_query;
+      wt_msg_vars = msg_vars;
+      wt_confirmed = confirmed;
+      wt_found_at = Unix.gettimeofday () -. started;
+    }
+  in
+  let rec enumerate blocked n acc =
+    if n >= config.witnesses_per_path then (acc, 0)
+    else
+      match Solver.check (Term.dedup (List.rev_append blocked base_query)) with
+      | Solver.Unsat -> (acc, 0)
+      | Solver.Unknown ->
+          (* sound degradation: the accepting state is reported with its
+             symbolic Trojan expression but no extracted message — an
+             over-approximation flagged [unconfirmed], never a silently
+             dropped Trojan *)
+          let zeros = Array.map (fun _ -> Bv.zero 8) msg_vars in
+          (found ~n ~confirmed:false zeros :: acc, 1)
+      | Solver.Sat model ->
+          let witness = witness_of_model msg_vars model in
+          enumerate (block witness :: blocked) (n + 1)
+            (found ~n ~confirmed:true witness :: acc)
+  in
+  let st = Solver.stats () in
+  let exhaustions0 = st.Solver.budget_exhaustions in
+  let faults0 = st.Solver.injected_faults in
+  let saved_budget = Solver.get_budget () in
+  Solver.set_budget config.solver_budget;
+  let counts = ref (0, 0) in
+  let trojans_rev, unknown =
+    Fun.protect
+      ~finally:(fun () ->
+        Solver.set_budget saved_budget;
+        let e = st.Solver.budget_exhaustions - exhaustions0 in
+        let f = st.Solver.injected_faults - faults0 in
+        let booked = Domain.DLS.get job_solver_counts in
+        booked := (fst !booked + e, snd !booked + f);
+        counts := (e, f))
+      (fun () -> enumerate [] 0 [])
+  in
+  {
+    wj_trojans = List.rev trojans_rev;
+    wj_unknown = unknown;
+    wj_exhaustions = fst !counts;
+    wj_faults = snd !counts;
+  }
+
+(* Record an accepting state and fork its witness enumeration. *)
 let emit_trojans ctx (st : State.t) label =
   match st.State.msg_vars with
   | None -> ()
   | Some vars ->
       setup_server_vars ctx vars;
-      let alive = alive_for ctx st in
-      let base_query = trojan_query ctx st alive in
+      let base_query = trojan_query ctx st (alive_for ctx st) in
       (match ctx.recorder with
       | None ->
           ctx.accepting_rev <-
@@ -578,74 +693,69 @@ let emit_trojans ctx (st : State.t) label =
               wa_constraints = List.rev st.State.path;
             }
             :: r.rec_accepting);
-      let block witness =
-        match ctx.cfg.distinct_by with
-        | Some f -> f witness vars
-        | None ->
-            (* block exactly these bytes *)
-            Term.not_
-              (Term.and_l
-                 (Array.to_list
-                    (Array.mapi
-                       (fun i v -> Term.eq (Term.var vars.(i)) (Term.const v))
-                       witness)))
+      Obs.count "search.witness_jobs";
+      let config = ctx.cfg and started = ctx.started and route = st.State.route in
+      let forked_on = Domain.self () in
+      let job =
+        Pool.async (fun () ->
+            if Domain.self () <> forked_on then
+              Obs.count "search.witness_jobs_remote";
+            enumerate_witnesses ~config ~started ~route ~label ~msg_vars:vars
+              base_query)
       in
-      let emit ~n ~confirmed witness =
-        Obs.count "search.trojans_emitted";
-        if Obs.live () then
-          Obs.emit ~kind:"trojan" ~name:label
-            ~args:
-              [
-                ("route", Obs.S st.State.route);
-                ("idx", Obs.I n);
-                ("confirmed", Obs.B confirmed);
-              ]
-            ();
-        let found_at = Unix.gettimeofday () -. ctx.started in
-        match ctx.recorder with
-        | None ->
-            ctx.trojans_rev <-
-              {
-                server_state_id = st.State.id;
-                accept_label = label;
-                witness;
-                symbolic = base_query;
-                msg_vars = vars;
-                confirmed;
-                found_at;
-              }
-              :: ctx.trojans_rev
-        | Some r ->
-            r.rec_trojans <-
-              {
-                wt_route = st.State.route;
-                wt_idx = n;
-                wt_label = label;
-                wt_witness = witness;
-                wt_symbolic = base_query;
-                wt_msg_vars = vars;
-                wt_confirmed = confirmed;
-                wt_found_at = found_at;
-              }
-              :: r.rec_trojans
-      in
-      let rec enumerate blocked n =
-        if n < ctx.cfg.witnesses_per_path then
-          match Solver.check (Term.dedup (List.rev_append blocked base_query)) with
-          | Solver.Unsat -> ()
-          | Solver.Unknown ->
-              (* sound degradation: the accepting state is reported with its
-                 symbolic Trojan expression but no extracted message —
-                 an over-approximation flagged [unconfirmed], never a
-                 silently dropped Trojan *)
-              ctx.n_unknown_witness <- ctx.n_unknown_witness + 1;
-              emit ~n ~confirmed:false (Array.map (fun _ -> Bv.zero 8) vars)
-          | Solver.Sat model ->
-              let witness = witness_of_model vars model in
-              emit ~n ~confirmed:true witness;
-              enumerate (block witness :: blocked) (n + 1)
-      in
-      enumerate [] 0
+      ctx.jobs_rev <- (st.State.id, job) :: ctx.jobs_rev
+
+let trojan_of_wtrojan ~state_id w =
+  {
+    server_state_id = state_id;
+    accept_label = w.wt_label;
+    witness = w.wt_witness;
+    symbolic = w.wt_symbolic;
+    msg_vars = w.wt_msg_vars;
+    confirmed = w.wt_confirmed;
+    found_at = w.wt_found_at;
+  }
+
+(* Join the forked witness jobs in fork order and book their trojans and
+   counts to this context. Every job is joined even when one raised, so a
+   failed shard attempt leaves no job behind; the first failure is then
+   re-raised (and the shard retried like any other crash). *)
+let join_witness_jobs ctx =
+  let jobs = List.rev ctx.jobs_rev in
+  ctx.jobs_rev <- [];
+  let failure = ref None in
+  List.iter
+    (fun (state_id, job) ->
+      match Pool.await job with
+      | j when Option.is_none !failure -> (
+          ctx.n_unknown_witness <- ctx.n_unknown_witness + j.wj_unknown;
+          ctx.job_exhaustions <- ctx.job_exhaustions + j.wj_exhaustions;
+          ctx.job_faults <- ctx.job_faults + j.wj_faults;
+          match ctx.recorder with
+          | Some r -> r.rec_trojans <- List.rev_append j.wj_trojans r.rec_trojans
+          | None ->
+              ctx.trojans_rev <-
+                List.rev_append
+                  (List.map (trojan_of_wtrojan ~state_id) j.wj_trojans)
+                  ctx.trojans_rev)
+      | _ -> ()
+      | exception exn ->
+          if Option.is_none !failure then
+            failure := Some (exn, Printexc.get_raw_backtrace ()))
+    jobs;
+  Option.iter (fun (exn, bt) -> Printexc.raise_with_backtrace exn bt) !failure
+
+(* Run the exploration, then join every witness job it forked — also when
+   the exploration raised, so no job of a failed attempt outlives it. *)
+let explore_and_join ctx explore =
+  match explore () with
+  | v ->
+      join_witness_jobs ctx;
+      v
+  | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try join_witness_jobs ctx with _ -> ());
+      Printexc.raise_with_backtrace exn bt
 
 (* Greedily zero out witness bytes while the Trojan expression stays
    satisfiable: smaller witnesses make fire-drill payloads easier to read
@@ -715,6 +825,9 @@ let make_ctx ~config ~client ~different_from ~shard ~recorder ~started =
     n_unknown_prune = 0;
     n_unknown_witness = 0;
     n_abandoned = 0;
+    jobs_rev = [];
+    job_exhaustions = 0;
+    job_faults = 0;
     started;
   }
 
@@ -733,9 +846,7 @@ let run_sequential ~config ~different_from ~client ~server ~started =
     make_ctx ~config ~client ~different_from ~shard:None ~recorder:None
       ~started
   in
-  let solver_stats = Solver.stats () in
-  let exhaustions0 = solver_stats.Solver.budget_exhaustions in
-  let faults0 = solver_stats.Solver.injected_faults in
+  let exhaustions0, faults0 = own_solver_counts () in
   let saved_budget = Solver.get_budget () in
   Solver.set_budget config.solver_budget;
   let iconfig =
@@ -748,8 +859,10 @@ let run_sequential ~config ~different_from ~client ~server ~started =
       ~finally:(fun () -> Solver.set_budget saved_budget)
       (fun () ->
         Obs.span Obs.Server_se (fun () ->
-            Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server))
+            explore_and_join ctx (fun () ->
+                Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server)))
   in
+  let exhaustions1, faults1 = own_solver_counts () in
   let stats =
     {
       accepting_paths = ctx.n_accepting;
@@ -777,9 +890,8 @@ let run_sequential ~config ~different_from ~client ~server ~started =
       unknown_alive = ctx.n_unknown_alive;
       unknown_prune = ctx.n_unknown_prune;
       unknown_witness = ctx.n_unknown_witness;
-      budget_exhaustions =
-        solver_stats.Solver.budget_exhaustions - exhaustions0;
-      injected_faults = solver_stats.Solver.injected_faults - faults0;
+      budget_exhaustions = exhaustions1 - exhaustions0 + ctx.job_exhaustions;
+      injected_faults = faults1 - faults0 + ctx.job_faults;
       abandoned_states = ctx.n_abandoned;
       solver_cache_entries = Solver.aggregate_cache_entries ();
       solver_cache_evictions = agg.Solver.cache_evictions;
@@ -1063,15 +1175,7 @@ let merge_outs ~total ~base ~started ~outs_resumed ~failed_shards
       (fun floor w ->
         let found_at = Float.max floor w.wt_found_at in
         ( found_at,
-          {
-            server_state_id = rank w.wt_route;
-            accept_label = w.wt_label;
-            witness = w.wt_witness;
-            symbolic = w.wt_symbolic;
-            msg_vars = w.wt_msg_vars;
-            confirmed = w.wt_confirmed;
-            found_at;
-          } ))
+          { (trojan_of_wtrojan ~state_id:(rank w.wt_route) w) with found_at } ))
       0. trojans_sorted
   in
   let accepting =
@@ -1141,9 +1245,7 @@ let explore_shard ~config ~different_from ~client ~server ~bits ~base ~started
   let shard = { Interp.shard_index = idx; Interp.shard_bits = bits } in
   Term.set_fresh_counter base;
   Solver.set_budget config.solver_budget;
-  let solver_stats = Solver.stats () in
-  let exhaustions0 = solver_stats.Solver.budget_exhaustions in
-  let faults0 = solver_stats.Solver.injected_faults in
+  let exhaustions0, faults0 = own_solver_counts () in
   let recorder = fresh_recorder () in
   let ctx =
     make_ctx ~config ~client ~different_from ~shard:(Some shard)
@@ -1159,17 +1261,23 @@ let explore_shard ~config ~different_from ~client ~server ~bits ~base ~started
         (if config.use_slice then Some (Slice.make_oracle ()) else None);
     }
   in
-  Obs.span Obs.Server_se (fun () ->
-      ignore (Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server));
+  let counter =
+    Obs.span Obs.Server_se (fun () ->
+        explore_and_join ctx (fun () ->
+            ignore (Interp.run ~config:iconfig ~hooks:(hooks_of ctx) server);
+            (* read before the join: awaiting runs other shards' jobs here *)
+            Term.fresh_counter_value ()))
+  in
   if config.cancel () then (None, ctx.n_abandoned)
   else begin
+    let exhaustions1, faults1 = own_solver_counts () in
     recorder.rec_unknown_alive <- ctx.n_unknown_alive;
     recorder.rec_unknown_prune <- ctx.n_unknown_prune;
     recorder.rec_unknown_witness <- ctx.n_unknown_witness;
     recorder.rec_exhaustions <-
-      solver_stats.Solver.budget_exhaustions - exhaustions0;
-    recorder.rec_faults <- solver_stats.Solver.injected_faults - faults0;
-    (Some (recorder, Term.fresh_counter_value ()), ctx.n_abandoned)
+      exhaustions1 - exhaustions0 + ctx.job_exhaustions;
+    recorder.rec_faults <- faults1 - faults0 + ctx.job_faults;
+    (Some (recorder, counter), ctx.n_abandoned)
   end
 
 let run_parallel ~config ~different_from ~client ~server ~started =

@@ -27,6 +27,12 @@
     creation order — and renumbers state ids by route rank, so the report is
     identical to the sequential one except for wall-clock fields
     ([wall_time], and [found_at], which is re-monotonized in merge order).
+    Each accepting state's witness enumeration is a job the owning shard
+    forks onto the same pool ({!Pool.async}) and joins before it returns;
+    outside a pool the job runs inline. Witness queries solve from scratch
+    and allocate no fresh variables, so where a job runs changes neither
+    witnesses nor ids, and its Unknown, budget-exhaustion and fault counts
+    are booked to the forking shard's coverage.
     Caveats: determinism assumes the server allocates no fresh symbolic
     variables after its first fork (all bundled models receive the analyzed
     message up front), that [max_states] (a per-task bound in parallel mode)
@@ -245,7 +251,9 @@ module Shards : sig
     int ->
     out option * int
   (** [explore ... idx] runs shard [idx] to completion in the calling
-      domain, replaying the fresh-variable sequence from [base]. Returns
+      domain, replaying the fresh-variable sequence from [base]; called
+      from a {!Pool} task, its witness jobs may run on other domains of
+      that pool, and are joined before it returns. Returns
       [(None, abandoned)] when [config.cancel] fired mid-shard — a partial
       log must neither be written nor merged. *)
 

@@ -9,14 +9,17 @@ type clause = {
   mutable activity : float;
 }
 
+(* Vectors start without storage and grow on their first push: most
+   literals of a bitblasted instance are watched by a handful of clauses or
+   none, so preallocating per literal dominated the instance's footprint. *)
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
 
-  let create dummy = { data = Array.make 16 dummy; size = 0; dummy }
+  let create dummy = { data = [||]; size = 0; dummy }
 
   let push v x =
     if v.size = Array.length v.data then begin
-      let data = Array.make (2 * v.size) v.dummy in
+      let data = Array.make (max 4 (2 * v.size)) v.dummy in
       Array.blit v.data 0 data 0 v.size;
       v.data <- data
     end;
@@ -55,9 +58,16 @@ type t = {
   mutable n_propagations : int;
   mutable max_learnts : float;
   mutable last_core : int list; (* internal lits; valid after assumption-UNSAT *)
+  mutable add_buf : int array; (* [add_clause] scratch: internal literals *)
 }
 
 let dummy_clause = { lits = [||]; learnt = false; activity = 0. }
+
+(* Filler for watch slots of literals not yet allocated. Never pushed to:
+   [new_var] gives each of its two literals a vector of its own. Growing the
+   table with this (old, static) value rather than fresh vectors keeps
+   [Array.make] from forcing a minor collection at every doubling. *)
+let no_watches = Vec.create dummy_clause
 
 let create () =
   {
@@ -65,7 +75,7 @@ let create () =
     nvars = 0;
     clauses = Vec.create dummy_clause;
     learnts = Vec.create dummy_clause;
-    watches = Array.init 4 (fun _ -> Vec.create dummy_clause);
+    watches = Array.make 4 no_watches;
     assigns = Array.make 4 (-1);
     level = Array.make 4 0;
     reason = Array.make 4 None;
@@ -84,6 +94,7 @@ let create () =
     n_propagations = 0;
     max_learnts = 0.;
     last_core = [];
+    add_buf = Array.make 16 0;
   }
 
 let grow_array make a n =
@@ -160,14 +171,9 @@ let new_var s =
   s.polarity <- grow_array (fun n -> Array.make n false) s.polarity n;
   s.seen <- grow_array (fun n -> Array.make n false) s.seen n;
   s.heap_index <- grow_array (fun n -> Array.make n (-1)) s.heap_index n;
-  let nlits = 2 * (v + 1) in
-  if nlits > Array.length s.watches then begin
-    let watches = Array.init (max nlits (2 * Array.length s.watches))
-        (fun i -> if i < Array.length s.watches then s.watches.(i)
-          else Vec.create dummy_clause)
-    in
-    s.watches <- watches
-  end;
+  s.watches <- grow_array (fun n -> Array.make n no_watches) s.watches (2 * v + 1);
+  s.watches.(2 * v) <- Vec.create dummy_clause;
+  s.watches.((2 * v) + 1) <- Vec.create dummy_clause;
   heap_insert s v;
   v
 
@@ -242,28 +248,66 @@ let cla_bump s (c : clause) =
 
 let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
+(* Sort [a.(0..n-1)] ascending in place: insertion sort for the short
+   clauses bitblasting produces, a copy through [Array.sort] otherwise. *)
+let sort_prefix a n =
+  if n <= 32 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let sorted = Array.sub a 0 n in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 a 0 n
+  end
+
+let rec load_lits s buf i = function
+  | [] -> ()
+  | l :: rest ->
+      buf.(i) <- lit_of_dimacs s l;
+      load_lits s buf (i + 1) rest
+
 let add_clause s lits =
   (* clauses may only be simplified against root-level facts; a model left
      by a previous [solve] must not satisfy-away or shrink a new clause *)
   cancel_until s 0;
   if s.ok then begin
-    let lits = List.map (lit_of_dimacs s) lits in
-    (* remove duplicates; drop clause if tautological or already true *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (l lxor 1) lits) lits
-      || List.exists (fun l -> lit_val s l = 1) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> lit_val s l <> 0) lits in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] -> enqueue s l None
-      | _ ->
-          let c = { lits = Array.of_list lits; learnt = false; activity = 0. } in
+    let n = List.length lits in
+    if Array.length s.add_buf < n then
+      s.add_buf <- Array.make (max n (2 * Array.length s.add_buf)) 0;
+    let buf = s.add_buf in
+    load_lits s buf 0 lits;
+    sort_prefix buf n;
+    (* one pass over the sorted literals: skip duplicates, drop the clause
+       if it is tautological (a literal and its negation sit side by side)
+       or already true, and keep the literals not yet false, compacted to
+       the front of the buffer in sorted order *)
+    let kept = ref 0 and prev = ref (-1) and redundant = ref false in
+    for i = 0 to n - 1 do
+      let l = buf.(i) in
+      if l <> !prev then begin
+        if l = !prev lxor 1 || lit_val s l = 1 then redundant := true
+        else if lit_val s l <> 0 then begin
+          buf.(!kept) <- l;
+          incr kept
+        end;
+        prev := l
+      end
+    done;
+    if not !redundant then
+      match !kept with
+      | 0 -> s.ok <- false
+      | 1 -> enqueue s buf.(0) None
+      | k ->
+          let c = { lits = Array.sub buf 0 k; learnt = false; activity = 0. } in
           Vec.push s.clauses c;
           attach_clause s c
-    end
   end
 
 (* --- propagation --------------------------------------------------------- *)

@@ -507,11 +507,17 @@ let test_checkpoint_corruption_guards () =
   close_out oc;
   Alcotest.(check bool) "empty file treated as missing" true
     (Search.Shards.load ~file ~fingerprint ~idx:0 = None);
-  (* flipped payload byte: caught by the payload digest *)
+  (* flipped trailing byte: caught by the payload digest. Flipped, not
+     overwritten: the bytes there vary with the run's wall-clock stamps,
+     and writing a value the byte already holds would change nothing *)
   Search.Shards.write ~file ~fingerprint ~idx:0 out;
-  let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
+  let fd = Unix.openfile file [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
   ignore (Unix.lseek fd (size - 3) Unix.SEEK_SET);
-  ignore (Unix.write fd (Bytes.of_string "\xff") 0 1);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  ignore (Unix.lseek fd (size - 3) Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
   Unix.close fd;
   Alcotest.(check bool) "corrupted payload treated as missing" true
     (Search.Shards.load ~file ~fingerprint ~idx:0 = None);

@@ -65,6 +65,181 @@ let test_pool_shutdown () =
   | _ -> Alcotest.fail "expected Invalid_argument for zero domains"
   | exception Invalid_argument _ -> ()
 
+(* --- fork/join inside pool tasks ------------------------------------------------ *)
+
+exception Job_failed of int
+
+let test_async_inline () =
+  (* outside any pool the thunk runs at [async], its exception waits for
+     [await] *)
+  let ran = ref false in
+  let p = Pool.async (fun () -> ran := true; 42) in
+  Alcotest.(check bool) "ran at async" true !ran;
+  Alcotest.(check int) "awaited" 42 (Pool.await p);
+  let failing = Pool.async (fun () -> raise (Job_failed 0)) in
+  match Pool.await failing with
+  | _ -> Alcotest.fail "expected the job's exception at await"
+  | exception Job_failed 0 -> ()
+
+(* Busy work of varying length, so jobs finish out of fork order. *)
+let spin n =
+  let acc = ref 0 in
+  for i = 1 to n do
+    acc := (!acc * 31) + i
+  done;
+  !acc
+
+let test_await_fork_order () =
+  Pool.with_pool ~domains:3 (fun pool ->
+      let results =
+        Pool.parallel_map pool
+          (fun task ->
+            let jobs =
+              List.init 20 (fun i ->
+                  Pool.async (fun () ->
+                      ignore (spin (((20 - i) * 20_000) + (task * 1000)));
+                      (task * 100) + i))
+            in
+            List.map Pool.await jobs)
+          (Array.init 4 Fun.id)
+      in
+      Array.iteri
+        (fun task got ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "task %d results in fork order" task)
+            (List.init 20 (fun i -> (task * 100) + i))
+            got)
+        results)
+
+let test_failing_job_retries_task () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      let attempts = Array.init 4 (fun _ -> Atomic.make 0) in
+      let outcomes =
+        Pool.map_with_retries ~retries:2
+          ~backoff:(fun _ -> 0.)
+          pool
+          (fun task ->
+            let attempt = Atomic.fetch_and_add attempts.(task) 1 in
+            let jobs =
+              List.init 5 (fun i ->
+                  Pool.async (fun () ->
+                      (* task 1's last job fails on the first attempt *)
+                      if task = 1 && i = 4 && attempt = 0 then
+                        raise (Job_failed task);
+                      i))
+            in
+            List.fold_left (fun acc j -> acc + Pool.await j) 0 jobs)
+          (Array.init 4 Fun.id)
+      in
+      Array.iteri
+        (fun task o ->
+          Alcotest.(check bool)
+            (Printf.sprintf "task %d result" task)
+            true
+            (o.Pool.result = Ok 10);
+          Alcotest.(check int)
+            (Printf.sprintf "task %d attempts" task)
+            (if task = 1 then 2 else 1)
+            o.Pool.attempts)
+        outcomes;
+      (* the job's own exception reaches a plain batch, too *)
+      match
+        Pool.parallel_map pool
+          (fun task -> Pool.await (Pool.async (fun () -> raise (Job_failed task))))
+          [| 7 |]
+      with
+      | _ -> Alcotest.fail "expected the job exception"
+      | exception Job_failed 7 -> ())
+
+let test_jobs_outnumber_domains () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let sums =
+            Pool.parallel_map pool
+              (fun task ->
+                let jobs = List.init 50 (fun i -> Pool.async (fun () -> task + i)) in
+                List.fold_left (fun acc j -> acc + Pool.await j) 0 jobs)
+              (Array.init (2 * domains) Fun.id)
+          in
+          Array.iteri
+            (fun task s ->
+              Alcotest.(check int)
+                (Printf.sprintf "%d domains, task %d" domains task)
+                ((50 * task) + 1225)
+                s)
+            sums))
+    [ 1; 2 ]
+
+(* Batch tasks running on the calling domain's stack right now. *)
+let tasks_on_stack = Domain.DLS.new_key (fun () -> ref 0)
+
+(* A task waiting in [await] for a job another worker is running must not
+   start a batch task meanwhile. Odd tasks fork a job and wait until some
+   worker picked it up before awaiting it; even tasks are fillers, so the
+   deques still hold tasks while the awaited job runs elsewhere (an idle
+   worker takes forked jobs before tasks). *)
+let test_await_runs_no_task () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let nested = Atomic.make 0 in
+          let task i () =
+            let depth = Domain.DLS.get tasks_on_stack in
+            if !depth > 0 then Atomic.incr nested;
+            incr depth;
+            Fun.protect
+              ~finally:(fun () -> decr depth)
+              (fun () ->
+                if i mod 2 = 0 then Unix.sleepf 0.005
+                else begin
+                  let started = Atomic.make false in
+                  let job =
+                    Pool.async (fun () ->
+                        Atomic.set started true;
+                        Unix.sleepf 0.02)
+                  in
+                  (* a 1-domain pool has nobody to pick it up *)
+                  let give_up = Unix.gettimeofday () +. 0.2 in
+                  while
+                    domains > 1
+                    && (not (Atomic.get started))
+                    && Unix.gettimeofday () < give_up
+                  do
+                    Domain.cpu_relax ()
+                  done;
+                  Pool.await job
+                end)
+          in
+          Pool.run_tasks pool (Array.init 12 task);
+          Alcotest.(check int)
+            (Printf.sprintf "%d domains: no task started inside another" domains)
+            0 (Atomic.get nested)))
+    [ 1; 2 ]
+
+let test_second_batch_rejected () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      let rejected =
+        Pool.parallel_map pool
+          (fun () ->
+            let from_job =
+              Pool.await
+                (Pool.async (fun () ->
+                     match Pool.run_tasks pool [| ignore |] with
+                     | () -> false
+                     | exception Invalid_argument _ -> true))
+            in
+            let from_task =
+              match Pool.run_tasks pool [| ignore |] with
+              | () -> false
+              | exception Invalid_argument _ -> true
+            in
+            from_job && from_task)
+          [| (); () |]
+      in
+      Alcotest.(check (array bool)) "nested batches rejected" [| true; true |]
+        rejected)
+
 (* --- solver thread-safety ----------------------------------------------------- *)
 
 (* Four domains hammer overlapping sat/unsat queries; every model must
@@ -333,6 +508,103 @@ let test_different_from_pool () =
       done)
     seq_stats.Different_from.fields_covered
 
+(* --- witness jobs ---------------------------------------------------------------- *)
+
+let fsp_client () =
+  Solver.reset_all_for_tests ();
+  Term.reset_fresh_counter ();
+  let client, _ =
+    Client_extract.extract ~layout:Fsp_model.layout (Fsp_model.clients ())
+  in
+  (client, Term.fresh_counter_value ())
+
+let fsp_config ~domains ~witnesses =
+  {
+    Search.default_config with
+    Search.mask = Some Fsp_model.analysis_mask;
+    Search.witnesses_per_path = witnesses;
+    Search.distinct_by = Some Fsp_model.block_class;
+    Search.domains;
+  }
+
+(* Enumerating witnesses allocates no fresh variables: a run that finds 16
+   witnesses per accepting state ends on the same fresh counter as one
+   that finds none, so a job running inline cannot shift the ids the
+   search allocates after it. *)
+let test_witness_jobs_fresh_counter () =
+  let client, base = fsp_client () in
+  let counter_after witnesses =
+    Solver.reset_all_for_tests ();
+    Term.set_fresh_counter base;
+    let r =
+      Search.run ~config:(fsp_config ~domains:1 ~witnesses) ~client
+        ~server:Fsp_model.server ()
+    in
+    (List.length r.Search.trojans, Term.fresh_counter_value ())
+  in
+  let n16, c16 = counter_after 16 and n0, c0 = counter_after 0 in
+  Alcotest.(check bool) "witnesses were enumerated" true (n16 > 0 && n0 = 0);
+  Alcotest.(check int) "fresh counter unchanged by witness jobs" c0 c16
+
+let trojan_summary (r : Search.report) =
+  List.map
+    (fun (t : Search.trojan) ->
+      ( t.Search.accept_label,
+        Array.to_list (Array.map Bv.to_int t.Search.witness),
+        t.Search.confirmed ))
+    r.Search.trojans
+
+(* A shard's checkpoint is written after its witness jobs are joined: the
+   file of every shard of a 2-domain run holds exactly the trojans that
+   shard yields when explored alone, inline. *)
+let test_checkpoint_holds_shard_trojans () =
+  let client, base = fsp_client () in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "achilles-par-ckpt" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let config =
+    { (fsp_config ~domains:2 ~witnesses:2) with Search.checkpoint_dir = Some dir }
+  in
+  let server = Fsp_model.server in
+  Solver.reset_all_for_tests ();
+  Term.set_fresh_counter base;
+  let full = Search.run ~config ~client ~server () in
+  let bits = Search.Shards.split_bits config in
+  let total = 1 lsl bits in
+  let fingerprint = Search.Shards.fingerprint ~bits ~config ~client ~server in
+  let alone out =
+    trojan_summary
+      (Search.Shards.merge ~total ~base ~started:0. ~outs_resumed:[ (out, false) ]
+         ~failed_shards:[] ~retry_attempts:0 ~interrupted:false ~abandoned:0)
+  in
+  let per_shard =
+    List.init total (fun idx ->
+        let file = Filename.concat dir (Printf.sprintf "shard-%04d.ckpt" idx) in
+        let saved =
+          match Search.Shards.load ~file ~fingerprint ~idx with
+          | Some out -> alone out
+          | None -> Alcotest.failf "shard %d checkpoint missing" idx
+        in
+        let explored =
+          match
+            Search.Shards.explore ~config ~different_from:None ~client ~server
+              ~bits ~base ~started:0. idx
+          with
+          | Some out, _ -> alone out
+          | None, _ -> Alcotest.failf "shard %d cancelled" idx
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "shard %d checkpoint trojans" idx)
+          (List.length explored) (List.length saved);
+        Alcotest.(check bool)
+          (Printf.sprintf "shard %d checkpoint holds its own trojans" idx)
+          true (saved = explored);
+        saved)
+  in
+  Alcotest.(check bool) "the shards' trojans make up the report" true
+    (List.sort compare (List.concat per_shard)
+    = List.sort compare (trojan_summary full))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -342,6 +614,20 @@ let () =
           Alcotest.test_case "empty batch" `Quick test_pool_empty;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+        ] );
+      ( "fork-join",
+        [
+          Alcotest.test_case "inline outside a pool" `Quick test_async_inline;
+          Alcotest.test_case "results in fork order" `Quick
+            test_await_fork_order;
+          Alcotest.test_case "failing job retries its task" `Quick
+            test_failing_job_retries_task;
+          Alcotest.test_case "jobs outnumber domains" `Quick
+            test_jobs_outnumber_domains;
+          Alcotest.test_case "await runs no batch task" `Quick
+            test_await_runs_no_task;
+          Alcotest.test_case "second batch rejected" `Quick
+            test_second_batch_rejected;
         ] );
       ( "solver",
         [
@@ -354,5 +640,12 @@ let () =
           Alcotest.test_case "no forks" `Quick test_parallel_no_forks;
           Alcotest.test_case "differentFrom over a pool" `Quick
             test_different_from_pool;
+        ] );
+      ( "witness-jobs",
+        [
+          Alcotest.test_case "fresh counter untouched" `Slow
+            test_witness_jobs_fresh_counter;
+          Alcotest.test_case "checkpoint holds its shard's trojans" `Slow
+            test_checkpoint_holds_shard_trojans;
         ] );
     ]

@@ -328,6 +328,13 @@ let qcheck_fault_superset =
                  t.Search.confirmed
                  || faulty.Search.coverage.Search.unknown_witness > 0)
                faulty.Search.trojans
+          (* …each degraded witness query is one unconfirmed trojan, also
+             when its job ran on another domain than its shard *)
+          && faulty.Search.coverage.Search.unknown_witness
+             = List.length
+                 (List.filter
+                    (fun (t : Search.trojan) -> not t.Search.confirmed)
+                    faulty.Search.trojans)
         in
         List.for_all faulty_ok [ (1, 7); (4, 42) ]
       end)
@@ -578,6 +585,64 @@ let test_fsp_under_faults () =
   Alcotest.(check int) "no false positives among confirmed witnesses" 0
     confirmation.Achilles_runtime.Inject.rejected
 
+(* --- accounting follows the witness job ---------------------------------------- *)
+
+let unconfirmed (r : Search.report) =
+  List.length
+    (List.filter (fun (t : Search.trojan) -> not t.Search.confirmed) r.Search.trojans)
+
+(* Witness jobs run on whichever domain is idle, but their Unknowns,
+   budget exhaustions and injected faults are booked to the shard that
+   forked them: at 4 domains under injected faults the coverage block
+   accounts for every fault and exhaustion any domain hit during the
+   search, and for exactly the unconfirmed trojans. Repeated until some
+   job ran on a domain other than its shard's (scheduling decides that). *)
+let test_job_accounting_under_faults () =
+  Solver.reset_all_for_tests ();
+  Term.reset_fresh_counter ();
+  let client, _ =
+    Client_extract.extract ~layout:Fsp_model.layout (Fsp_model.clients ())
+  in
+  let base = Term.fresh_counter_value () in
+  let config =
+    {
+      Search.default_config with
+      Search.mask = Some Fsp_model.analysis_mask;
+      Search.witnesses_per_path = 2;
+      Search.distinct_by = Some Fsp_model.block_class;
+      Search.domains = 4;
+      Search.solver_budget =
+        Some (Solver.budget ~conflicts:1_000_000 ~escalations:1 ());
+    }
+  in
+  let remote_jobs () =
+    Option.value ~default:0
+      (List.assoc_opt "search.witness_jobs_remote"
+         (Achilles_obs.Obs.aggregate ()).Achilles_obs.Obs.counters)
+  in
+  let rec attempt k =
+    Achilles_obs.Obs.reset_all ();
+    Solver.set_fault_injection ~rate:0.2 ~seed:(0xacc + k) ();
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Solver.set_fault_injection ())
+        (fun () -> run_case ~config ~base client server_fsp)
+    in
+    let s = Solver.aggregate_stats () and c = r.Search.coverage in
+    Alcotest.(check bool) "complete" true (Search.coverage_complete c);
+    Alcotest.(check int) "unknown_witness counts the unconfirmed trojans"
+      (unconfirmed r) c.Search.unknown_witness;
+    Alcotest.(check int) "every injected fault accounted"
+      s.Solver.injected_faults c.Search.injected_faults;
+    Alcotest.(check int) "every budget exhaustion accounted"
+      s.Solver.budget_exhaustions c.Search.budget_exhaustions;
+    Alcotest.(check bool) "faults and exhaustions happened" true
+      (c.Search.injected_faults > 0 && c.Search.budget_exhaustions > 0);
+    if remote_jobs () = 0 && k < 5 then attempt (k + 1) else remote_jobs ()
+  in
+  Alcotest.(check bool) "some witness job ran on another domain" true
+    (attempt 0 > 0)
+
 let () =
   Alcotest.run "robustness"
     [
@@ -620,4 +685,9 @@ let () =
         ] );
       ( "fsp-drill",
         [ Alcotest.test_case "FSP under faults" `Slow test_fsp_under_faults ] );
+      ( "job-accounting",
+        [
+          Alcotest.test_case "faults follow the witness job" `Slow
+            test_job_accounting_under_faults;
+        ] );
     ]

@@ -159,6 +159,136 @@ let test_sat_empty_clause () =
   | Some Sat.Unsat -> ()
   | _ -> Alcotest.fail "empty clause should be UNSAT"
 
+(* --- pinned CDCL trajectories ------------------------------------------------ *)
+
+(* The SAT core's search is deterministic: for a fixed sequence of
+   [add_clause]/[solve] calls, clause literal order and watch-list order fix
+   every propagation, conflict and decision, and witness models (so report
+   digests) follow from them. The pinned fingerprints make any drift in
+   either order show at unit level, as a changed count or model hash. *)
+let trajectory s answer =
+  let model =
+    match answer with
+    | Some Sat.Sat ->
+        let bits =
+          String.init (Sat.num_vars s) (fun i ->
+              if Sat.value s (i + 1) then '1' else '0')
+        in
+        String.sub (Digest.to_hex (Digest.string bits)) 0 12
+    | Some Sat.Unsat -> "unsat"
+    | None -> "unknown"
+  in
+  Printf.sprintf "%s c=%d d=%d p=%d n=%d" model (Sat.conflicts s)
+    (Sat.decisions s) (Sat.propagations s) (Sat.num_clauses s)
+
+(* A seeded random 3-CNF near the satisfiability threshold, salted with
+   the clause shapes [add_clause] simplifies: duplicate literals,
+   tautologies, units, literals already false (or true) at the root, and
+   one long clause. Solved once, then extended and re-solved under two
+   assumptions, so root-level simplification of clauses added after a
+   search is covered too. *)
+let random_cnf_trajectory seed =
+  let rng = Random.State.make [| seed |] in
+  let s = Sat.create () in
+  let nvars = 60 + (30 * (seed mod 4)) in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s)
+  done;
+  let lit () =
+    let v = 1 + Random.State.int rng nvars in
+    if Random.State.bool rng then v else -v
+  in
+  let clause () =
+    let c = [ lit (); lit (); lit () ] in
+    match Random.State.int rng 10 with
+    | 0 -> List.hd c :: c (* duplicate literal *)
+    | 1 -> (-List.hd c) :: c (* tautology *)
+    | _ -> c
+  in
+  let add n =
+    for _ = 1 to n do
+      Sat.add_clause s (clause ())
+    done
+  in
+  (* units first, so later clauses meet root-assigned literals *)
+  for _ = 1 to 3 do
+    Sat.add_clause s [ lit () ]
+  done;
+  add (nvars * 41 / 10);
+  Sat.add_clause s (List.init 40 (fun _ -> lit ()));
+  let first = trajectory s (Sat.solve s) in
+  Sat.add_clause s [ lit () ];
+  add (nvars / 2);
+  let second = trajectory s (Sat.solve ~assumptions:[ lit (); lit () ] s) in
+  first ^ " / " ^ second
+
+let pinned_random_trajectories =
+  [
+    "ea3a2eee15cb c=8 d=14 p=222 n=206 / unsat c=11 d=17 p=263 n=232";
+    "unsat c=39 d=43 p=1003 n=308 / unsat c=39 d=43 p=1003 n=308";
+    "5f52681289f7 c=9 d=32 p=385 n=407 / unsat c=43 d=75 p=1218 n=457";
+    "f00cc8981372 c=10 d=41 p=433 n=535 / unsat c=154 d=218 p=4477 n=602";
+    "1ed36ef1e9b1 c=43 d=64 p=710 n=207 / unsat c=49 d=71 p=780 n=229";
+    "fcdd4eaf7b2d c=28 d=44 p=659 n=311 / unsat c=28 d=44 p=661 n=342";
+    "6cd0098102be c=20 d=47 p=619 n=411 / unsat c=34 d=62 p=926 n=461";
+    "360242deff9b c=87 d=148 p=2674 n=525 / unsat c=363 d=502 p=10416 n=587";
+    "unsat c=25 d=35 p=355 n=213 / unsat c=25 d=35 p=355 n=213";
+    "c5bfd8dd3f7f c=145 d=204 p=3002 n=315 / unsat c=145 d=204 p=3002 n=315";
+    "bfcf8047c660 c=185 d=283 p=4503 n=414 / unsat c=217 d=321 p=5199 n=464";
+    "18e926c5fba2 c=127 d=194 p=3494 n=536 / unsat c=249 d=328 p=6764 n=602";
+  ]
+
+let test_sat_trajectories_pinned () =
+  List.iteri
+    (fun seed expected ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        expected (random_cnf_trajectory seed))
+    pinned_random_trajectories
+
+(* The first witness query of the FSP analysis (paper §6.2 configuration):
+   the Trojan expression of the first accepting state, canonicalized as
+   {!Solver.check} does and bitblasted onto a fresh instance. *)
+let fsp_first_witness_cnf () =
+  let open Achilles_core in
+  let open Achilles_targets in
+  Solver.reset_all_for_tests ();
+  Term.reset_fresh_counter ();
+  let search_config =
+    {
+      Search.default_config with
+      Search.mask = Some Fsp_model.analysis_mask;
+      Search.witnesses_per_path = 1;
+      Search.distinct_by = Some Fsp_model.block_class;
+      Search.domains = 1;
+    }
+  in
+  let a =
+    Achilles.analyze ~search_config ~layout:Fsp_model.layout
+      ~clients:(Fsp_model.clients ()) ~server:Fsp_model.server ()
+  in
+  let first = List.hd a.Achilles.report.Search.trojans in
+  let rec flatten acc = function
+    | [] -> acc
+    | (t : Term.t) :: rest -> (
+        match t.Term.node with
+        | Term.True -> flatten acc rest
+        | Term.And (a, b) -> flatten acc (a :: b :: rest)
+        | _ -> flatten (t :: acc) rest)
+  in
+  let key = List.sort_uniq Term.compare (flatten [] first.Search.symbolic) in
+  let s = Sat.create () in
+  let bb = Bitblast.create s in
+  List.iter (Bitblast.assert_true bb) key;
+  s
+
+let pinned_fsp_trajectory = "97acd58e773a c=46 d=876 p=4785 n=5803"
+
+let test_sat_fsp_trajectory_pinned () =
+  let s = fsp_first_witness_cnf () in
+  Alcotest.(check string) "first FSP witness query" pinned_fsp_trajectory
+    (trajectory s (Sat.solve s))
+
 (* Brute-force CNF evaluation over all assignments. *)
 let brute_force_sat nvars clauses =
   let rec go assignment v =
@@ -746,6 +876,10 @@ let () =
           Alcotest.test_case "basic unsat" `Quick test_sat_unsat;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
           Alcotest.test_case "empty clause" `Quick test_sat_empty_clause;
+          Alcotest.test_case "pinned trajectories" `Quick
+            test_sat_trajectories_pinned;
+          Alcotest.test_case "pinned FSP witness trajectory" `Slow
+            test_sat_fsp_trajectory_pinned;
         ] );
       qsuite "sat-properties" [ qcheck_sat_matches_brute_force ];
       ( "solver",
