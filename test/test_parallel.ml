@@ -641,7 +641,7 @@ let () =
           Alcotest.test_case "differentFrom over a pool" `Quick
             test_different_from_pool;
         ] );
-      ( "witness-jobs",
+      ( "witness",
         [
           Alcotest.test_case "fresh counter untouched" `Slow
             test_witness_jobs_fresh_counter;
