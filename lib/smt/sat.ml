@@ -248,24 +248,18 @@ let cla_bump s (c : clause) =
 
 let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
-(* Sort [a.(0..n-1)] ascending in place: insertion sort for the short
-   clauses bitblasting produces, a copy through [Array.sort] otherwise. *)
+(* Sort [a.(0..n-1)] ascending in place; insertion sort, as the clauses
+   bitblasting and the frame guards add are a few literals long. *)
 let sort_prefix a n =
-  if n <= 32 then
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else begin
-    let sorted = Array.sub a 0 n in
-    Array.sort Int.compare sorted;
-    Array.blit sorted 0 a 0 n
-  end
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 let rec load_lits s buf i = function
   | [] -> ()
