@@ -1431,12 +1431,13 @@ let experiment_serve () =
 
 (* --- E19: telemetry cost under serving load ----------------------------------------------------- *)
 
-(* The daemon from E17, but as the real select loop over a Unix socket, once
-   without the metrics endpoint and once with it (scraped continuously from
-   another domain). Telemetry must be close to free — its entire point is to
-   be left on in production — and the three views of the same run (Prometheus
-   scrape, STATS wire reply, in-process evaluator replay) must agree on every
-   verdict counter. *)
+(* The daemon from E17, but as the real select loop over a Unix socket: one
+   daemon without the metrics endpoint and one with it, scraped over 20 times
+   a second from the client domain, each driven for fixed-length passes.
+   Telemetry must be close to free — its entire point is to be left on in
+   production — and the three views of each daemon's counts (Prometheus
+   scrape, STATS wire reply, the record [Daemon.run] returns) must agree
+   with the in-process verdicts of the messages sent. *)
 let experiment_telemetry () =
   banner "E19: telemetry cost and scrape consistency under serving load";
   let module Obs = Achilles_obs.Obs in
@@ -1474,15 +1475,26 @@ let experiment_telemetry () =
         in
         Bytes.init size (fun j -> Char.chr m.(j)))
   in
-  (* ground truth: replay the workload through the in-process evaluator *)
-  let exp_accept = ref 0 and exp_trojan = ref 0 and exp_unknown = ref 0 in
+  (* ground truth: the in-process evaluator's verdict class per message
+     (0 accept, 1 trojan suspect, 2 unknown) *)
   let ev = Filter.evaluator filter in
-  Array.iter
-    (fun b ->
-      match Filter.verdict_bytes ev (Bytes.copy b) with
-      | Filter.Accept -> incr exp_accept
-      | Filter.Trojan_suspect _ -> incr exp_trojan
-      | Filter.Unknown_state -> incr exp_unknown)
+  let klass =
+    Array.map
+      (fun b ->
+        match Filter.verdict_bytes ev b with
+        | Filter.Accept -> 0
+        | Filter.Trojan_suspect _ -> 1
+        | Filter.Unknown_state -> 2)
+      msgs
+  in
+  (* the whole workload framed back to back, so a batch is one slice of it *)
+  let batch = 250 in
+  let frame = 4 + size in
+  let framed = Bytes.create (n * frame) in
+  Array.iteri
+    (fun i m ->
+      Bytes.set_int32_be framed (i * frame) (Int32.of_int size);
+      Bytes.blit m 0 framed ((i * frame) + 4) size)
     msgs;
   let tmp_path tag =
     Filename.concat
@@ -1494,16 +1506,19 @@ let experiment_telemetry () =
     Unix.connect fd (Unix.ADDR_UNIX path);
     fd
   in
-  let read_exactly fd k =
-    let buf = Bytes.create k in
+  let read_into fd buf k =
     let rec go off =
-      if off >= k then buf
-      else
+      if off < k then
         match Unix.read fd buf off (k - off) with
         | 0 -> failwith "daemon closed the connection"
         | r -> go (off + r)
     in
     go 0
+  in
+  let read_exactly fd k =
+    let buf = Bytes.create k in
+    read_into fd buf k;
+    buf
   in
   (* A scrape in flight: the request is written immediately, the response
      harvested later — so verdict frames and the scrape answer genuinely
@@ -1532,53 +1547,6 @@ let experiment_telemetry () =
     Buffer.contents buf
   in
   let scrape mpath = finish_scrape (start_scrape mpath) in
-  (* one pass over the workload: pipelined batches of frames, replies read
-     back in bulk, a scrape in flight every few batches when [mpath] is
-     given; returns (wall time, completed scrapes) *)
-  let drive fd ~mpath =
-    let batch = 256 in
-    (* ~5 in-flight scrapes per pass, independent of workload size — a pass
-       lasts well under a second, so this is still an order of magnitude
-       more aggressive than any real scrape cadence *)
-    let scrape_every = max 1 (n / batch / 5) in
-    let scrapes = ref 0 in
-    let pending = ref None in
-    let harvest () =
-      match !pending with
-      | None -> ()
-      | Some sfd ->
-          pending := None;
-          if String.length (finish_scrape sfd) > 0 then incr scrapes
-    in
-    let t0 = Unix.gettimeofday () in
-    let i = ref 0 in
-    let batches = ref 0 in
-    while !i < n do
-      (match mpath with
-      | Some mpath when !batches mod scrape_every = 0 ->
-          harvest ();
-          pending := Some (start_scrape mpath)
-      | _ -> ());
-      incr batches;
-      let k = min batch (n - !i) in
-      let out = Buffer.create (k * (size + 4)) in
-      for j = !i to !i + k - 1 do
-        let hdr = Bytes.create 4 in
-        Bytes.set_int32_be hdr 0 (Int32.of_int size);
-        Buffer.add_bytes out hdr;
-        Buffer.add_bytes out msgs.(j)
-      done;
-      let b = Buffer.to_bytes out in
-      let off = ref 0 in
-      while !off < Bytes.length b do
-        off := !off + Unix.write fd b !off (Bytes.length b - !off)
-      done;
-      ignore (read_exactly fd (k * 5));
-      i := !i + k
-    done;
-    harvest ();
-    (Unix.gettimeofday () -. t0, !scrapes)
-  in
   (* the value of an exposition sample, matched on the full name{labels} *)
   let metric_value body sample =
     List.find_map
@@ -1600,16 +1568,25 @@ let experiment_telemetry () =
         | _ -> None)
       (String.split_on_char '\n' text)
   in
-  let reps = 3 in
-  (* one daemon per mode; [reps] passes each, best-of to dampen CI noise *)
-  let run_mode ~metrics =
-    let sock = tmp_path (if metrics then "on" else "off") in
-    let mpath = tmp_path "metrics" in
+  let failed = ref false in
+  let check name got want =
+    if got <> want then begin
+      Format.eprintf "telemetry: %s: got %d, want %d@." name got want;
+      failed := true
+    end
+  in
+  (* One daemon per mode, both up for the whole experiment, so whatever the
+     extra domain costs falls on both modes alike; [sent] counts every frame
+     the mode's connection carried, for the ground truth. *)
+  let start_daemon ~metrics =
+    let tag = if metrics then "on" else "off" in
+    let sock = tmp_path tag in
+    let mpath = if metrics then Some (tmp_path "metrics") else None in
     let stop = Atomic.make false in
     let daemon =
       Domain.spawn (fun () ->
           Daemon.run
-            ?metrics:(if metrics then Some (Daemon.Unix_socket mpath) else None)
+            ?metrics:(Option.map (fun p -> Daemon.Unix_socket p) mpath)
             ~filter ~address:(Daemon.Unix_socket sock)
             ~stop:(fun () -> Atomic.get stop)
             ())
@@ -1623,97 +1600,152 @@ let experiment_telemetry () =
       end
     in
     wait_sock 500;
-    let scrapes = ref 0 in
-    let best = ref infinity in
-    let fd = connect sock in
-    for _ = 1 to reps do
-      let dt, sc =
-        drive fd ~mpath:(if metrics then Some mpath else None)
-      in
-      scrapes := !scrapes + sc;
-      if dt < !best then best := dt
+    (tag, sock, mpath, stop, daemon, connect sock, ref 0)
+  in
+  let modes = [| start_daemon ~metrics:false; start_daemon ~metrics:true |] in
+  (* One slice: pipelined batches to one mode's daemon for [slice_seconds],
+     cycling through the workload, replies read back in bulk. With metrics,
+     a scrape is started as the slice begins and harvested as it ends, so a
+     scrape is served every slice: about 22 a second of the mode's driving
+     time. A fixed time, not a fixed message count, keeps that rate steady
+     however fast the daemon serves. Returns (frames sent, wall time,
+     scrapes). *)
+  let slice_seconds = 0.045 in
+  let replies = Bytes.create (batch * 5) in
+  let drive_slice (_, _, mpath, _, _, fd, sent) =
+    let t0 = Unix.gettimeofday () in
+    let pending = Option.map start_scrape mpath in
+    let k = ref 0 in
+    let now = ref t0 in
+    while !now -. t0 < slice_seconds do
+      let from = (!sent mod n) * frame and len = batch * frame in
+      let off = ref 0 in
+      while !off < len do
+        off := !off + Unix.write fd framed (from + !off) (len - !off)
+      done;
+      read_into fd replies (batch * 5);
+      sent := !sent + batch;
+      k := !k + batch;
+      now := Unix.gettimeofday ()
     done;
-    (* consistency: scrape and STATS wire reply, while the daemon is live *)
-    let final_scrape = if metrics then Some (scrape mpath) else None in
-    let req = Bytes.create 4 in
-    Bytes.set_int32_be req 0 0xFFFFFFFFl;
-    ignore (Unix.write fd req 0 4);
-    let len =
-      Int32.to_int (Bytes.get_int32_be (read_exactly fd 4) 0) land 0xFFFFFFFF
+    let scraped =
+      match pending with
+      | Some sfd when String.length (finish_scrape sfd) > 0 -> 1
+      | _ -> 0
     in
-    let stats_txt = Bytes.to_string (read_exactly fd len) in
-    Unix.close fd;
-    Atomic.set stop true;
-    let st = Domain.join daemon in
-    (try Sys.remove sock with Sys_error _ -> ());
-    (try Sys.remove mpath with Sys_error _ -> ());
-    (!best, st, stats_txt, final_scrape, !scrapes)
+    (!k, Unix.gettimeofday () -. t0, scraped)
   in
-  let off_s, off_st, off_stats, _, _ = run_mode ~metrics:false in
-  let on_s, on_st, on_stats, on_scrape, scrapes = run_mode ~metrics:true in
-  let total = reps * n in
-  let failed = ref false in
-  let check name got want =
-    if got <> want then begin
-      Format.eprintf "telemetry: %s: got %d, want %d@." name got want;
-      failed := true
-    end
+  (* One pass per mode: slices alternate between the two daemons until each
+     mode has been driven for [pass_seconds], so a slow phase of the host
+     falls on both modes alike. Returns each mode's rate and the scrapes. *)
+  let pass_seconds = if !quick then 0.5 else 1.0 in
+  let run_passes () =
+    let msgs = [| 0; 0 |] and secs = [| 0.; 0. |] and scrapes = ref 0 in
+    while secs.(0) < pass_seconds || secs.(1) < pass_seconds do
+      Array.iteri
+        (fun m mode ->
+          if secs.(m) < pass_seconds then begin
+            let k, dt, sc = drive_slice mode in
+            msgs.(m) <- msgs.(m) + k;
+            secs.(m) <- secs.(m) +. dt;
+            scrapes := !scrapes + sc
+          end)
+        modes
+    done;
+    ( float_of_int msgs.(0) /. secs.(0),
+      float_of_int msgs.(1) /. secs.(1),
+      !scrapes,
+      secs.(1) )
   in
-  (* every view of the run agrees with the evaluator replay (x reps) *)
-  List.iter
-    (fun (tag, st) ->
-      check (tag ^ " messages") st.Daemon.messages total;
-      check (tag ^ " accepts") st.Daemon.accepts (reps * !exp_accept);
-      check (tag ^ " trojans") st.Daemon.trojan_suspects (reps * !exp_trojan);
-      check (tag ^ " unknowns") st.Daemon.unknowns (reps * !exp_unknown))
-    [ ("off", off_st); ("on", on_st) ];
-  List.iter
-    (fun (tag, txt) ->
+  (* warm-up: connections, buffers and caches settle before timing *)
+  ignore (run_passes ());
+  let passes = 7 in
+  let results = List.init passes (fun _ -> run_passes ()) in
+  (* Consistency, while each daemon is live: the STATS wire reply and (with
+     metrics) a final scrape; then the record [Daemon.run] returns. Every
+     view must match the in-process verdicts of the frames sent. *)
+  Array.iter
+    (fun (tag, sock, mpath, stop, daemon, fd, sent) ->
+      let final_scrape = Option.map scrape mpath in
+      let req = Bytes.create 4 in
+      Bytes.set_int32_be req 0 0xFFFFFFFFl;
+      ignore (Unix.write fd req 0 4);
+      let len =
+        Int32.to_int (Bytes.get_int32_be (read_exactly fd 4) 0) land 0xFFFFFFFF
+      in
+      let stats_txt = Bytes.to_string (read_exactly fd len) in
+      Unix.close fd;
+      Atomic.set stop true;
+      let st = Domain.join daemon in
+      (try Sys.remove sock with Sys_error _ -> ());
+      Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) mpath;
+      let want = Array.make 3 0 in
+      for j = 0 to !sent - 1 do
+        let k = klass.(j mod n) in
+        want.(k) <- want.(k) + 1
+      done;
+      check (tag ^ " messages") st.Daemon.messages !sent;
+      check (tag ^ " accepts") st.Daemon.accepts want.(0);
+      check (tag ^ " trojans") st.Daemon.trojan_suspects want.(1);
+      check (tag ^ " unknowns") st.Daemon.unknowns want.(2);
+      let expected =
+        [
+          ("messages", !sent, "achilles_daemon_messages_total");
+          ("accepts", want.(0), "achilles_daemon_verdicts_total{verdict=\"accept\"}");
+          ( "trojan_suspects",
+            want.(1),
+            "achilles_daemon_verdicts_total{verdict=\"trojan_suspect\"}" );
+          ("unknowns", want.(2), "achilles_daemon_verdicts_total{verdict=\"unknown\"}");
+          ("dropped_frames", 0, "achilles_daemon_dropped_frames_total");
+        ]
+      in
       List.iter
-        (fun (key, want) ->
-          match stats_value txt key with
+        (fun (key, want, sample) ->
+          (match stats_value stats_txt key with
           | Some v -> check (tag ^ " stats " ^ key) (int_of_float v) want
           | None ->
               Format.eprintf "telemetry: %s STATS reply lacks %s@." tag key;
-              failed := true)
-        [
-          ("messages", total);
-          ("accepts", reps * !exp_accept);
-          ("trojan_suspects", reps * !exp_trojan);
-          ("unknowns", reps * !exp_unknown);
-          ("dropped_frames", 0);
-        ])
-    [ ("off", off_stats); ("on", on_stats) ];
-  (match on_scrape with
-  | None -> assert false
-  | Some body ->
-      List.iter
-        (fun (sample, want) ->
-          match metric_value body sample with
-          | Some v -> check ("scrape " ^ sample) (int_of_float v) want
-          | None ->
-              Format.eprintf "telemetry: scrape lacks %s@." sample;
-              failed := true)
-        [
-          ("achilles_daemon_messages_total", total);
-          ( "achilles_daemon_verdicts_total{verdict=\"accept\"}",
-            reps * !exp_accept );
-          ( "achilles_daemon_verdicts_total{verdict=\"trojan_suspect\"}",
-            reps * !exp_trojan );
-          ( "achilles_daemon_verdicts_total{verdict=\"unknown\"}",
-            reps * !exp_unknown );
-          ("achilles_daemon_dropped_frames_total", 0);
-        ]);
-  let rate_off = float_of_int n /. off_s in
-  let rate_on = float_of_int n /. on_s in
-  let overhead = Float.max 0. (1. -. (rate_on /. rate_off)) in
-  Format.printf "  metrics off: %d msgs in %.3fs = %.0f msgs/s (best of %d)@." n
-    off_s rate_off reps;
+              failed := true);
+          match final_scrape with
+          | None -> ()
+          | Some body -> (
+              match metric_value body sample with
+              | Some v -> check ("scrape " ^ sample) (int_of_float v) want
+              | None ->
+                  Format.eprintf "telemetry: scrape lacks %s@." sample;
+                  failed := true))
+        expected)
+    modes;
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let off_rates = List.map (fun (r, _, _, _) -> r) results in
+  let on_rates = List.map (fun (_, r, _, _) -> r) results in
+  let rate_off = median off_rates and rate_on = median on_rates in
+  let scrapes = List.fold_left (fun acc (_, _, k, _) -> acc + k) 0 results in
+  let on_seconds = List.fold_left (fun acc (_, _, _, dt) -> acc +. dt) 0. results in
+  let scrape_rate = float_of_int scrapes /. on_seconds in
+  (* The two modes of one pass ran interleaved in the same stretch of time;
+     different passes can see host phases tens of percent apart. So the
+     overhead compares each pass's modes and takes the median over passes. *)
+  let ratio = median (List.map (fun (off, on, _, _) -> on /. off) results) in
+  let overhead = Float.max 0. (1. -. ratio) in
+  let pp_rates ppf l =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
+      (fun ppf r -> Format.fprintf ppf "%.0f" r)
+      ppf l
+  in
+  Format.printf "  metrics off: %.0f msgs/s (median of %d %.1fs passes: %a)@."
+    rate_off passes pass_seconds pp_rates off_rates;
   Format.printf
-    "  metrics on:  %d msgs in %.3fs = %.0f msgs/s (best of %d, %d scrapes \
-     served concurrently)@."
-    n on_s rate_on reps scrapes;
-  Format.printf "  overhead:    %.2f%%@." (100. *. overhead);
+    "  metrics on:  %.0f msgs/s (median of %d %.1fs passes: %a; %d scrapes \
+     served concurrently, %.1f/s)@."
+    rate_on passes pass_seconds pp_rates on_rates scrapes scrape_rate;
+  Format.printf "  overhead:    %.2f%% (median over passes of on/off)@."
+    (100. *. overhead);
   if scrapes = 0 then begin
     Format.eprintf "telemetry: no scrape succeeded during the load@.";
     failed := true
@@ -1731,24 +1763,24 @@ let experiment_telemetry () =
     csv_dir := Some (Filename.concat "bench" "figures")
   end;
   write_csv "e19_telemetry.csv"
-    "mode,messages,seconds,msgs_per_sec,overhead_pct,scrapes"
+    "mode,passes,pass_seconds,msgs_per_sec,overhead_pct,scrapes"
     [
-      Printf.sprintf "metrics-off,%d,%.4f,%.0f,0.0,0" n off_s rate_off;
-      Printf.sprintf "metrics-on,%d,%.4f,%.0f,%.2f,%d" n on_s rate_on
-        (100. *. overhead) scrapes;
+      Printf.sprintf "metrics-off,%d,%.1f,%.0f,0.0,0" passes pass_seconds
+        rate_off;
+      Printf.sprintf "metrics-on,%d,%.1f,%.0f,%.2f,%d" passes pass_seconds
+        rate_on (100. *. overhead) scrapes;
     ];
   (let module J = Obs.Json in
    write_bench_json "BENCH_E19.json"
      [
        ("experiment", J.Str "telemetry");
-       ("messages_per_pass", J.Num (float_of_int n));
-       ("passes", J.Num (float_of_int reps));
-       ("off_seconds", J.Num off_s);
+       ("passes_per_mode", J.Num (float_of_int passes));
+       ("pass_seconds", J.Num pass_seconds);
        ("off_msgs_per_sec", J.Num rate_off);
-       ("on_seconds", J.Num on_s);
        ("on_msgs_per_sec", J.Num rate_on);
        ("overhead_pct", J.Num (100. *. overhead));
        ("concurrent_scrapes", J.Num (float_of_int scrapes));
+       ("scrapes_per_sec", J.Num scrape_rate);
        ("counters_consistent", J.Bool (not !failed));
      ]);
   csv_dir := saved;

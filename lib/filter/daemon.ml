@@ -24,44 +24,74 @@ let pp_stats ppf s =
    this — reserving it is backward-compatible. *)
 let stats_sentinel = 0xFFFFFFFF
 
+(* The running counts behind [stats], bumped in place per verdict. *)
+type tally = {
+  mutable t_connections : int;
+  mutable t_messages : int;
+  mutable t_accepts : int;
+  mutable t_trojan_suspects : int;
+  mutable t_unknowns : int;
+  mutable t_dropped_frames : int;
+}
+
 type conn = {
   fd : Unix.file_descr;
-  buf : Buffer.t; (* bytes received, not yet consumed as frames *)
+  mutable rbuf : Bytes.t; (* bytes received; unconsumed frames start at 0 *)
+  mutable fill : int; (* bytes of [rbuf] holding data *)
   lat_hist : int array; (* per-connection verdict latency, log2-µs buckets *)
   mutable lat_sum : float;
 }
+
+(* A connection's read buffer starts this large and doubles when a read finds
+   it full. 16 KiB holds several pipelined bursts in one read: 128 FSP frames
+   in flight (perfbench's pipelined phase) are 2.7 KB. Complete frames are
+   consumed after every read, so the buffer is only ever full of one
+   incomplete frame and stays under twice [4 + max_frame]. *)
+let initial_read_buffer = 16384
 
 (* A metrics (HTTP) connection: accumulate the request until the blank line,
    answer once, close. *)
 type mconn = { m_fd : Unix.file_descr; m_buf : Buffer.t }
 
-let be32_of buf off =
-  let b i = Char.code (Buffer.nth buf (off + i)) in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+let be32_of buf off = Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFFFFFF
+let set_be32 buf off n = Bytes.set_int32_be buf off (Int32.of_int n)
 
-let response verdict =
-  let out = Bytes.create 5 in
-  let c, state =
-    match verdict with
-    | Filter.Accept -> ('A', 0xFFFFFFFF)
-    | Filter.Trojan_suspect id -> ('T', id)
-    | Filter.Unknown_state -> ('U', 0xFFFFFFFF)
-  in
-  Bytes.set out 0 c;
-  Bytes.set out 1 (Char.chr ((state lsr 24) land 0xff));
-  Bytes.set out 2 (Char.chr ((state lsr 16) land 0xff));
-  Bytes.set out 3 (Char.chr ((state lsr 8) land 0xff));
-  Bytes.set out 4 (Char.chr (state land 0xff));
-  out
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
+let write_all fd bytes len =
   let rec go off =
     if off < len then
       let n = Unix.write fd bytes off (len - off) in
       go (off + n)
   in
   go 0
+
+(* The replies of one wakeup, sent with one [write]. *)
+type out = { mutable obuf : Bytes.t; mutable olen : int }
+
+let reserve out n =
+  if out.olen + n > Bytes.length out.obuf then begin
+    let grown = Bytes.create (max (out.olen + n) (2 * Bytes.length out.obuf)) in
+    Bytes.blit out.obuf 0 grown 0 out.olen;
+    out.obuf <- grown
+  end
+
+let add_response out verdict =
+  reserve out 5;
+  let c, state =
+    match verdict with
+    | Filter.Accept -> ('A', 0xFFFFFFFF)
+    | Filter.Trojan_suspect id -> ('T', id)
+    | Filter.Unknown_state -> ('U', 0xFFFFFFFF)
+  in
+  Bytes.set out.obuf out.olen c;
+  set_be32 out.obuf (out.olen + 1) state;
+  out.olen <- out.olen + 5
+
+let add_framed out text =
+  let n = String.length text in
+  reserve out (4 + n);
+  set_be32 out.obuf out.olen n;
+  Bytes.blit_string text 0 out.obuf (out.olen + 4) n;
+  out.olen <- out.olen + 4 + n
 
 exception Drop_connection
 
@@ -100,15 +130,14 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
   let conns = ref [] in
   let mconns : mconn list ref = ref [] in
   let st =
-    ref
-      {
-        connections = 0;
-        messages = 0;
-        accepts = 0;
-        trojan_suspects = 0;
-        unknowns = 0;
-        dropped_frames = 0;
-      }
+    {
+      t_connections = 0;
+      t_messages = 0;
+      t_accepts = 0;
+      t_trojan_suspects = 0;
+      t_unknowns = 0;
+      t_dropped_frames = 0;
+    }
   in
   (* Latency of connections already closed; a scrape folds live ones in. *)
   let drained_hist = Array.make Obs.histogram_buckets 0 in
@@ -124,26 +153,14 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
     (hist, !sum)
   in
   let record verdict =
-    let s = !st in
-    st :=
-      (match verdict with
-      | Filter.Accept ->
-          Obs.count "filter.accept";
-          { s with messages = s.messages + 1; accepts = s.accepts + 1 }
-      | Filter.Trojan_suspect _ ->
-          Obs.count "filter.trojan_suspect";
-          {
-            s with
-            messages = s.messages + 1;
-            trojan_suspects = s.trojan_suspects + 1;
-          }
-      | Filter.Unknown_state ->
-          Obs.count "filter.unknown";
-          { s with messages = s.messages + 1; unknowns = s.unknowns + 1 })
+    st.t_messages <- st.t_messages + 1;
+    match verdict with
+    | Filter.Accept -> st.t_accepts <- st.t_accepts + 1
+    | Filter.Trojan_suspect _ -> st.t_trojan_suspects <- st.t_trojan_suspects + 1
+    | Filter.Unknown_state -> st.t_unknowns <- st.t_unknowns + 1
   in
   (* Line-based stats reply: the wire twin of the Prometheus exposition. *)
   let stats_text () =
-    let s = !st in
     let hist, sum = latency_totals () in
     let count = Array.fold_left ( + ) 0 hist in
     let q p = Obs.estimate_quantile hist p *. 1e6 in
@@ -161,41 +178,29 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
        latency_p95_us %.2f\n\
        latency_p99_us %.2f\n"
       (Unix.gettimeofday () -. t_start)
-      s.connections s.messages s.accepts s.trojan_suspects s.unknowns
-      s.dropped_frames count sum (q 0.5) (q 0.95) (q 0.99)
-  in
-  let stats_reply () =
-    let text = stats_text () in
-    let n = String.length text in
-    let out = Bytes.create (4 + n) in
-    Bytes.set out 0 (Char.chr ((n lsr 24) land 0xff));
-    Bytes.set out 1 (Char.chr ((n lsr 16) land 0xff));
-    Bytes.set out 2 (Char.chr ((n lsr 8) land 0xff));
-    Bytes.set out 3 (Char.chr (n land 0xff));
-    Bytes.blit_string text 0 out 4 n;
-    out
+      st.t_connections st.t_messages st.t_accepts st.t_trojan_suspects st.t_unknowns
+      st.t_dropped_frames count sum (q 0.5) (q 0.95) (q 0.99)
   in
   let exposition () =
-    let s = !st in
     let buf = Buffer.create 4096 in
     Obs.Prometheus.gauge buf ~name:"achilles_daemon_uptime_seconds"
       ~help:"Seconds since the daemon started"
       [ ([], Unix.gettimeofday () -. t_start) ];
     Obs.Prometheus.counter buf ~name:"achilles_daemon_connections_total"
       ~help:"Client connections accepted"
-      [ ([], float_of_int s.connections) ];
+      [ ([], float_of_int st.t_connections) ];
     Obs.Prometheus.counter buf ~name:"achilles_daemon_messages_total"
-      ~help:"Messages judged" [ ([], float_of_int s.messages) ];
+      ~help:"Messages judged" [ ([], float_of_int st.t_messages) ];
     Obs.Prometheus.counter buf ~name:"achilles_daemon_verdicts_total"
       ~help:"Verdicts by outcome"
       [
-        ([ ("verdict", "accept") ], float_of_int s.accepts);
-        ([ ("verdict", "trojan_suspect") ], float_of_int s.trojan_suspects);
-        ([ ("verdict", "unknown") ], float_of_int s.unknowns);
+        ([ ("verdict", "accept") ], float_of_int st.t_accepts);
+        ([ ("verdict", "trojan_suspect") ], float_of_int st.t_trojan_suspects);
+        ([ ("verdict", "unknown") ], float_of_int st.t_unknowns);
       ];
     Obs.Prometheus.counter buf ~name:"achilles_daemon_dropped_frames_total"
       ~help:"Connections dropped for oversized frames"
-      [ ([], float_of_int s.dropped_frames) ];
+      [ ([], float_of_int st.t_dropped_frames) ];
     let hist, sum = latency_totals () in
     Obs.Prometheus.histogram buf ~name:"achilles_daemon_request_duration_seconds"
       ~help:"Per-verdict latency (log2-microsecond buckets)"
@@ -214,44 +219,62 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
       (String.length body) body
   in
   let scratch = Bytes.create 4096 in
-  (* Consume every complete frame in [c.buf]; raises [Drop_connection] on an
-     oversized frame. *)
+  let out = { obuf = Bytes.create 4096; olen = 0 } in
+  (* Judge every complete frame in [c.rbuf] in place, collecting the replies
+     in [out], then send them with one write and move the unconsumed tail to
+     the front. A STATS reply joins [out] in frame order and counts the frames
+     before it. On an oversized length word the verdicts already computed are
+     sent before [Drop_connection] is raised. The [filter.*] counters are
+     bumped once per drain; scrapes are only served between drains. *)
   let drain_frames c =
+    let accepts = st.t_accepts
+    and trojans = st.t_trojan_suspects
+    and unknowns = st.t_unknowns in
+    out.olen <- 0;
     let consumed = ref 0 in
+    let drop = ref false in
     let continue = ref true in
     while !continue do
-      let available = Buffer.length c.buf - !consumed in
+      let available = c.fill - !consumed in
       if available < 4 then continue := false
       else
-        let frame_len = be32_of c.buf !consumed in
+        let frame_len = be32_of c.rbuf !consumed in
         if frame_len = stats_sentinel then begin
           consumed := !consumed + 4;
-          write_all c.fd (stats_reply ())
+          add_framed out (stats_text ())
         end
-        else if frame_len > max_frame then raise Drop_connection
+        else if frame_len > max_frame then begin
+          drop := true;
+          continue := false
+        end
         else if available < 4 + frame_len then continue := false
         else begin
-          let payload = Bytes.create frame_len in
-          Buffer.blit c.buf (!consumed + 4) payload 0 frame_len;
-          consumed := !consumed + 4 + frame_len;
           (* Manual timing instead of [Obs.span]: one pair of clock reads
              feeds the phase slice and the per-connection histogram. *)
           let t0 = Unix.gettimeofday () in
-          let verdict = Filter.verdict_bytes ev payload in
+          let verdict = Filter.verdict_sub ev c.rbuf (!consumed + 4) frame_len in
           let dt = Unix.gettimeofday () -. t0 in
+          consumed := !consumed + 4 + frame_len;
           Obs.record_span Obs.Filter_eval dt;
           let b = Obs.bucket_of_seconds dt in
           c.lat_hist.(b) <- c.lat_hist.(b) + 1;
           c.lat_sum <- c.lat_sum +. dt;
           record verdict;
-          write_all c.fd (response verdict)
+          add_response out verdict
         end
     done;
+    let bump name before now =
+      if now > before then Obs.count ~n:(now - before) name
+    in
+    bump "filter.accept" accepts st.t_accepts;
+    bump "filter.trojan_suspect" trojans st.t_trojan_suspects;
+    bump "filter.unknown" unknowns st.t_unknowns;
     if !consumed > 0 then begin
-      let rest = Buffer.sub c.buf !consumed (Buffer.length c.buf - !consumed) in
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf rest
-    end
+      Bytes.blit c.rbuf !consumed c.rbuf 0 (c.fill - !consumed);
+      c.fill <- c.fill - !consumed
+    end;
+    write_all c.fd out.obuf out.olen;
+    if !drop then raise Drop_connection
   in
   let close_conn c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -260,13 +283,18 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
     conns := List.filter (fun c' -> c' != c) !conns
   in
   let service c =
-    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+    if c.fill = Bytes.length c.rbuf then begin
+      let grown = Bytes.create (2 * Bytes.length c.rbuf) in
+      Bytes.blit c.rbuf 0 grown 0 c.fill;
+      c.rbuf <- grown
+    end;
+    match Unix.read c.fd c.rbuf c.fill (Bytes.length c.rbuf - c.fill) with
     | 0 -> close_conn c
     | n ->
-        Buffer.add_subbytes c.buf scratch 0 n;
+        c.fill <- c.fill + n;
         (try drain_frames c with
         | Drop_connection ->
-            st := { !st with dropped_frames = !st.dropped_frames + 1 };
+            st.t_dropped_frames <- st.t_dropped_frames + 1;
             Obs.count "filter.dropped_frame";
             close_conn c
         | Unix.Unix_error _ -> close_conn c)
@@ -278,7 +306,8 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
     mconns := List.filter (fun mc' -> mc' != mc) !mconns
   in
   let answer_mconn mc =
-    (try write_all mc.m_fd (Bytes.of_string (http_response ()))
+    (let reply = Bytes.of_string (http_response ()) in
+     try write_all mc.m_fd reply (Bytes.length reply)
      with Unix.Unix_error _ -> ());
     close_mconn mc
   in
@@ -322,12 +351,13 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
                   conns :=
                     {
                       fd = conn_fd;
-                      buf = Buffer.create 256;
+                      rbuf = Bytes.create initial_read_buffer;
+                      fill = 0;
                       lat_hist = Array.make Obs.histogram_buckets 0;
                       lat_sum = 0.;
                     }
                     :: !conns;
-                  st := { !st with connections = !st.connections + 1 }
+                  st.t_connections <- st.t_connections + 1
               | exception Unix.Unix_error _ -> ()
             end
             else if mlistener = Some fd then begin
@@ -355,4 +385,11 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
   | None -> ());
   unlink_if_unix address;
   (match metrics with Some addr -> unlink_if_unix addr | None -> ());
-  !st
+  {
+    connections = st.t_connections;
+    messages = st.t_messages;
+    accepts = st.t_accepts;
+    trojan_suspects = st.t_trojan_suspects;
+    unknowns = st.t_unknowns;
+    dropped_frames = st.t_dropped_frames;
+  }

@@ -24,12 +24,18 @@
       followed by the full process {!Achilles_obs.Obs.Prometheus.of_snapshot}
       exposition. One scrape = one short-lived connection.
 
-    A frame whose length does not match the filter's message size gets an
-    honest ['U']; a frame longer than [max_frame] drops the connection and
-    counts in [dropped_frames]. Every verdict is timed once and charged to
-    the {!Achilles_obs.Obs.Filter_eval} phase and to a per-connection
-    latency histogram (folded into the scrape output), and bumps a
-    [filter.accept] / [filter.trojan_suspect] / [filter.unknown] counter. *)
+    Each wakeup reads what a connection has sent into the connection's
+    read buffer, judges every complete frame there in place
+    ({!Filter.verdict_sub}), and sends all of their replies — a [STATS]
+    reply included, in frame order — with one [write]. A frame whose length
+    does not match the filter's message size gets an honest ['U']; a frame
+    longer than [max_frame] drops the connection, after the verdicts before
+    it are sent, and counts in [dropped_frames]. Every verdict is timed once
+    and charged to the {!Achilles_obs.Obs.Filter_eval} phase and to a
+    per-connection latency histogram (folded into the scrape output). The
+    [filter.accept] / [filter.trojan_suspect] / [filter.unknown] counters
+    are bumped once per wakeup; scrapes are answered between wakeups, so
+    they always see exact counts. *)
 
 type address =
   | Unix_socket of string  (** path; an existing socket file is replaced *)

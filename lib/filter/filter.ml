@@ -736,151 +736,272 @@ let compile ?(enum_values = 512) ~target ~layout ~report () =
 
 (* --- evaluation ------------------------------------------------------------ *)
 
-type v = Vb of bool | Vv of Bv.t | Vu
+(* Values live unboxed: a tag byte per op (false/true/unknown/bitvector) and,
+   for bitvectors, an int64 Bigarray slot kept masked to the op's width. The
+   int64 kernel below is written out here rather than called in [Bv]: dune's
+   dev profile compiles with [-opaque], so every cross-module call taking or
+   returning an int64 boxes it. The helpers are [@inline] and [gate_ok] /
+   [scan] are top-level recursive functions, so no closure is allocated per
+   message either. Reads are unchecked: [validate] bounds every operand and
+   byte index, and [verdict_sub] the message range. *)
+
+type int64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let k_false = 0
+let k_true = 1
+let k_unknown = 2
+let k_bv = 3
 
 type evaluator = {
   ft : t;
-  msg : int array; (* current message bytes *)
-  vals : v array;
+  tags : Stdlib.Bytes.t; (* per op: k_false / k_true / k_unknown / k_bv *)
+  vals : int64s; (* per op: the value when its tag is k_bv *)
+  masks : int64s; (* per bitvector op: 2^width - 1 *)
+  widths : int array; (* per bitvector op: width; 0 for booleans *)
   stamp : int array;
   mutable tick : int;
+  mutable src : Stdlib.Bytes.t; (* the message being judged ... *)
+  mutable off : int; (* ... starts at this offset *)
 }
 
 let evaluator ft =
+  let ops = ft.f_ops in
+  let sorts = sorts_of ops in
+  let n = Array.length ops in
+  let int64s f = Bigarray.Array1.init Bigarray.int64 Bigarray.c_layout n f in
   {
     ft;
-    msg = Array.make ft.f_message_size 0;
-    vals = Array.make (max 1 (Array.length ft.f_ops)) (Vb false);
-    stamp = Array.make (max 1 (Array.length ft.f_ops)) 0;
+    (* constant leaves get their tag and value here, once *)
+    tags =
+      Stdlib.Bytes.init n (fun i ->
+          Char.chr
+            (match ops.(i) with
+            | Oconst _ -> k_bv
+            | Obool b -> if b then k_true else k_false
+            | _ -> k_unknown));
+    vals = int64s (fun i -> match ops.(i) with Oconst c -> Bv.value c | _ -> 0L);
+    masks =
+      int64s (fun i ->
+          match sorts.(i) with SBv w -> Bv.value (Bv.ones w) | SBool -> 0L);
+    widths = Array.map (function SBv w -> w | SBool -> 0) sorts;
+    stamp = Array.make n 0;
     tick = 0;
+    src = Stdlib.Bytes.empty;
+    off = 0;
   }
 
-let eval_op ev i =
-  let ops = ev.ft.f_ops in
-  let v j = ev.vals.(j) in
-  let bv j = match v j with Vv x -> Some x | _ -> None in
-  let bin f a b =
-    match (bv a, bv b) with Some x, Some y -> Vv (f x y) | _ -> Vu
-  in
-  let cmp f a b =
-    match (bv a, bv b) with Some x, Some y -> Vb (f x y) | _ -> Vu
-  in
-  match ops.(i) with
-  | Obyte k -> Vv (Bv.of_int ~width:8 ev.msg.(k))
-  | Oconst c -> Vv c
-  | Obool x -> Vb x
-  | Ounknown -> Vu
-  | Onot a -> (
-      match v a with Vb x -> Vb (not x) | _ -> Vu)
-  | Oand (a, b) -> (
-      match (v a, v b) with
-      | Vb false, _ | _, Vb false -> Vb false
-      | Vb true, Vb true -> Vb true
-      | _ -> Vu)
-  | Oor (a, b) -> (
-      match (v a, v b) with
-      | Vb true, _ | _, Vb true -> Vb true
-      | Vb false, Vb false -> Vb false
-      | _ -> Vu)
-  | Oite (c, a, b) -> (
-      match v c with Vb true -> v a | Vb false -> v b | _ -> Vu)
-  | Oeq (a, b) -> (
-      match (v a, v b) with
-      | Vv x, Vv y -> Vb (Bv.equal x y)
-      | Vb x, Vb y -> Vb (x = y)
-      | _ -> Vu)
-  | Oult (a, b) -> cmp Bv.ult a b
-  | Oslt (a, b) -> cmp Bv.slt a b
-  | Oule (a, b) -> cmp Bv.ule a b
-  | Osle (a, b) -> cmp Bv.sle a b
-  | Oadd (a, b) -> bin Bv.add a b
-  | Osub (a, b) -> bin Bv.sub a b
-  | Omul (a, b) -> bin Bv.mul a b
-  | Oudiv (a, b) -> bin Bv.udiv a b
-  | Ourem (a, b) -> bin Bv.urem a b
-  | Obnot a -> ( match bv a with Some x -> Vv (Bv.lognot x) | None -> Vu)
-  | Oband (a, b) -> bin Bv.logand a b
-  | Obor (a, b) -> bin Bv.logor a b
-  | Obxor (a, b) -> bin Bv.logxor a b
-  | Oshl (a, b) -> bin Bv.shl a b
-  | Olshr (a, b) -> bin Bv.lshr a b
-  | Oashr (a, b) -> bin Bv.ashr a b
-  | Oconcat (a, b) -> bin Bv.concat a b
-  | Oextract (hi, lo, a) -> (
-      match bv a with Some x -> Vv (Bv.extract ~hi ~lo x) | None -> Vu)
-  | Oinset (a, ranges) -> (
-      match bv a with
-      | None -> Vu
-      | Some x ->
-          let value = Bv.value x in
-          let n = Array.length ranges in
-          let rec member k =
-            if k >= n then false
-            else
-              let lo, hi = ranges.(k) in
-              (Int64.unsigned_compare lo value <= 0
-              && Int64.unsigned_compare value hi <= 0)
-              || member (k + 1)
-          in
-          Vb (member 0))
+let[@inline] tag ev j = Char.code (Stdlib.Bytes.unsafe_get ev.tags j)
+let[@inline] set_tag ev i k = Stdlib.Bytes.unsafe_set ev.tags i (Char.unsafe_chr k)
+let[@inline] value ev j = Bigarray.Array1.unsafe_get ev.vals j
+let[@inline] set_bool ev i b = set_tag ev i (if b then k_true else k_false)
 
+let[@inline] set_bv ev i (x : int64) =
+  set_tag ev i k_bv;
+  Bigarray.Array1.unsafe_set ev.vals i
+    (Int64.logand x (Bigarray.Array1.unsafe_get ev.masks i))
+
+let[@inline] both_bv ev a b = tag ev a = k_bv && tag ev b = k_bv
+
+(* [x] as a signed [w]-bit value *)
+let[@inline] sext (x : int64) w =
+  Int64.shift_right (Int64.shift_left x (64 - w)) (64 - w)
+
+let[@inline] ult (x : int64) (y : int64) =
+  Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
+
+let[@inline] udiv (n : int64) (d : int64) =
+  if d < 0L then if ult n d then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    if ult (Int64.sub n (Int64.mul q d)) d then q else Int64.add q 1L
+
+(* Shift amounts are unsigned and at most [w] bits wide: an amount of [w] or
+   more shifts every bit out. *)
+let[@inline] shift_in_range (amount : int64) w = ult amount (Int64.of_int w)
+
+let eval_op ev i =
+  match Array.unsafe_get ev.ft.f_ops i with
+  | Obyte k ->
+      set_bv ev i
+        (Int64.of_int (Char.code (Stdlib.Bytes.unsafe_get ev.src (ev.off + k))))
+  | Oconst _ | Obool _ | Ounknown -> () (* set once by [evaluator] *)
+  | Onot a ->
+      let x = tag ev a in
+      if x = k_unknown then set_tag ev i k_unknown else set_bool ev i (x = k_false)
+  | Oand (a, b) ->
+      let x = tag ev a and y = tag ev b in
+      if x = k_false || y = k_false then set_tag ev i k_false
+      else if x = k_true && y = k_true then set_tag ev i k_true
+      else set_tag ev i k_unknown
+  | Oor (a, b) ->
+      let x = tag ev a and y = tag ev b in
+      if x = k_true || y = k_true then set_tag ev i k_true
+      else if x = k_false && y = k_false then set_tag ev i k_false
+      else set_tag ev i k_unknown
+  | Oite (c, a, b) ->
+      let x = tag ev c in
+      if x = k_unknown then set_tag ev i k_unknown
+      else begin
+        let j = if x = k_true then a else b in
+        set_tag ev i (tag ev j);
+        Bigarray.Array1.unsafe_set ev.vals i (value ev j)
+      end
+  | Oeq (a, b) ->
+      let x = tag ev a and y = tag ev b in
+      if x = k_unknown || y = k_unknown then set_tag ev i k_unknown
+      else if x = k_bv then set_bool ev i (value ev a = value ev b)
+      else set_bool ev i (x = y)
+  | Oult (a, b) ->
+      if both_bv ev a b then set_bool ev i (ult (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Oule (a, b) ->
+      if both_bv ev a b then set_bool ev i (not (ult (value ev b) (value ev a)))
+      else set_tag ev i k_unknown
+  | Oslt (a, b) ->
+      if both_bv ev a b then
+        let w = Array.unsafe_get ev.widths a in
+        set_bool ev i (sext (value ev a) w < sext (value ev b) w)
+      else set_tag ev i k_unknown
+  | Osle (a, b) ->
+      if both_bv ev a b then
+        let w = Array.unsafe_get ev.widths a in
+        set_bool ev i (sext (value ev a) w <= sext (value ev b) w)
+      else set_tag ev i k_unknown
+  | Oadd (a, b) ->
+      if both_bv ev a b then set_bv ev i (Int64.add (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Osub (a, b) ->
+      if both_bv ev a b then set_bv ev i (Int64.sub (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Omul (a, b) ->
+      if both_bv ev a b then set_bv ev i (Int64.mul (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Oudiv (a, b) ->
+      if both_bv ev a b then
+        let d = value ev b in
+        set_bv ev i (if d = 0L then -1L else udiv (value ev a) d)
+      else set_tag ev i k_unknown
+  | Ourem (a, b) ->
+      if both_bv ev a b then
+        let n = value ev a and d = value ev b in
+        set_bv ev i (if d = 0L then n else Int64.sub n (Int64.mul (udiv n d) d))
+      else set_tag ev i k_unknown
+  | Obnot a ->
+      if tag ev a = k_bv then set_bv ev i (Int64.lognot (value ev a))
+      else set_tag ev i k_unknown
+  | Oband (a, b) ->
+      if both_bv ev a b then set_bv ev i (Int64.logand (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Obor (a, b) ->
+      if both_bv ev a b then set_bv ev i (Int64.logor (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Obxor (a, b) ->
+      if both_bv ev a b then set_bv ev i (Int64.logxor (value ev a) (value ev b))
+      else set_tag ev i k_unknown
+  | Oshl (a, b) ->
+      if both_bv ev a b then
+        let n = value ev b in
+        set_bv ev i
+          (if shift_in_range n (Array.unsafe_get ev.widths i) then
+             Int64.shift_left (value ev a) (Int64.to_int n)
+           else 0L)
+      else set_tag ev i k_unknown
+  | Olshr (a, b) ->
+      if both_bv ev a b then
+        let n = value ev b in
+        set_bv ev i
+          (if shift_in_range n (Array.unsafe_get ev.widths i) then
+             Int64.shift_right_logical (value ev a) (Int64.to_int n)
+           else 0L)
+      else set_tag ev i k_unknown
+  | Oashr (a, b) ->
+      if both_bv ev a b then
+        let n = value ev b and w = Array.unsafe_get ev.widths i in
+        let x = sext (value ev a) w in
+        set_bv ev i
+          (if shift_in_range n w then Int64.shift_right x (Int64.to_int n)
+           else Int64.shift_right x 63)
+      else set_tag ev i k_unknown
+  | Oconcat (a, b) ->
+      if both_bv ev a b then
+        set_bv ev i
+          (Int64.logor
+             (Int64.shift_left (value ev a) (Array.unsafe_get ev.widths b))
+             (value ev b))
+      else set_tag ev i k_unknown
+  | Oextract (_, lo, a) ->
+      if tag ev a = k_bv then set_bv ev i (Int64.shift_right_logical (value ev a) lo)
+      else set_tag ev i k_unknown
+  | Oinset (a, ranges) ->
+      if tag ev a = k_bv then begin
+        let x = value ev a in
+        let found = ref false and k = ref 0 in
+        while (not !found) && !k < Array.length ranges do
+          let lo, hi = Array.unsafe_get ranges !k in
+          found := (not (ult x lo)) && not (ult hi x);
+          incr k
+        done;
+        set_bool ev i !found
+      end
+      else set_tag ev i k_unknown
+
+let rec gate_ok ev gates i =
+  i >= Array.length gates
+  ||
+  let g = Array.unsafe_get gates i in
+  let byte = Char.code (Stdlib.Bytes.unsafe_get ev.src (ev.off + g.g_byte)) in
+  byte >= g.g_lo && byte <= g.g_hi && gate_ok ev gates (i + 1)
+
+(* Tag of the state's root: its Trojan query under the current message. *)
 let eval_state ev st =
-  let gates = st.st_gates in
-  let n_gates = Array.length gates in
-  let rec gate_ok i =
-    i >= n_gates
-    ||
-    let g = gates.(i) in
-    let byte = ev.msg.(g.g_byte) in
-    byte >= g.g_lo && byte <= g.g_hi && gate_ok (i + 1)
-  in
-  if not (gate_ok 0) then Vb false
+  if not (gate_ok ev st.st_gates 0) then k_false
   else begin
     let ops = st.st_ops in
     for k = 0 to Array.length ops - 1 do
-      let i = ops.(k) in
-      if ev.stamp.(i) <> ev.tick then begin
-        ev.vals.(i) <- eval_op ev i;
-        ev.stamp.(i) <- ev.tick
+      let i = Array.unsafe_get ops k in
+      if Array.unsafe_get ev.stamp i <> ev.tick then begin
+        eval_op ev i;
+        Array.unsafe_set ev.stamp i ev.tick
       end
     done;
-    ev.vals.(st.st_root)
+    tag ev st.st_root
   end
+
+let rec scan ev states i unknown =
+  if i >= Array.length states then if unknown then Unknown_state else Accept
+  else
+    let st = Array.unsafe_get states i in
+    let r = eval_state ev st in
+    if r = k_true then Trojan_suspect st.st_id
+    else scan ev states (i + 1) (unknown || r = k_unknown)
 
 let verdict_core ev =
   ev.tick <- ev.tick + 1;
-  let states = ev.ft.f_states in
-  let n = Array.length states in
-  let rec scan i unknown =
-    if i >= n then if unknown then Unknown_state else Accept
-    else
-      match eval_state ev states.(i) with
-      | Vb true -> Trojan_suspect states.(i).st_id
-      | Vb false -> scan (i + 1) unknown
-      | Vu -> scan (i + 1) true
-      | Vv _ -> assert false (* roots are validated boolean *)
-  in
-  scan 0 false
+  scan ev ev.ft.f_states 0 false
 
-let verdict_bytes ev bytes =
-  if Stdlib.Bytes.length bytes <> ev.ft.f_message_size then Unknown_state
+let verdict_sub ev bytes off len =
+  if off < 0 || len < 0 || off > Stdlib.Bytes.length bytes - len then
+    invalid_arg "Filter.verdict_sub";
+  if len <> ev.ft.f_message_size then Unknown_state
   else begin
-    for i = 0 to ev.ft.f_message_size - 1 do
-      ev.msg.(i) <- Char.code (Stdlib.Bytes.get bytes i)
-    done;
+    ev.src <- bytes;
+    ev.off <- off;
     verdict_core ev
   end
+
+let verdict_bytes ev bytes = verdict_sub ev bytes 0 (Stdlib.Bytes.length bytes)
 
 let verdict ev message =
   if Array.length message <> ev.ft.f_message_size then Unknown_state
   else begin
+    let msg = Stdlib.Bytes.create (Array.length message) in
     Array.iteri
       (fun i bv ->
         if Bv.width bv <> 8 then
           invalid_arg "Filter.verdict: message bytes must be 8 bits wide";
-        ev.msg.(i) <- Bv.to_int bv)
+        Stdlib.Bytes.set msg i (Char.chr (Bv.to_int bv)))
       message;
-    verdict_core ev
+    verdict_sub ev msg 0 (Stdlib.Bytes.length msg)
   end
 
 (* --- serialization --------------------------------------------------------- *)

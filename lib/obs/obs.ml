@@ -367,16 +367,20 @@ end
 
 module Prometheus = struct
   let escape_label s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+    if not (String.exists (function '\\' | '"' | '\n' -> true | _ -> false) s)
+    then s
+    else begin
+      let buf = Buffer.create (String.length s) in
+      String.iter
+        (fun c ->
+          match c with
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\n' -> Buffer.add_string buf "\\n"
+          | c -> Buffer.add_char buf c)
+        s;
+      Buffer.contents buf
+    end
 
   let escape_help s =
     let buf = Buffer.create (String.length s) in
@@ -402,22 +406,33 @@ module Prometheus = struct
       s;
     if Buffer.length buf = 0 then "_" else Buffer.contents buf
 
+  (* A scrape renders a few hundred samples, so the common cases skip
+     [Printf]: [string_of_int] prints a non-negative integral value exactly
+     as "%.0f" does. *)
   let fmt_value f =
     if Float.is_nan f then "NaN"
-    else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else if Float.is_integer f && Float.abs f < 1e15 then
+      if Float.sign_bit f then Printf.sprintf "%.0f" f
+      else string_of_int (int_of_float f)
     else Printf.sprintf "%.9g" f
 
-  let labels_str = function
-    | [] -> ""
+  let add_labels buf = function
+    | [] -> ()
     | ls ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> k ^ "=\"" ^ escape_label v ^ "\"") ls)
-        ^ "}"
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_string buf k;
+            Buffer.add_string buf "=\"";
+            Buffer.add_string buf (escape_label v);
+            Buffer.add_char buf '"')
+          ls;
+        Buffer.add_char buf '}'
 
   let sample buf name labels v =
     Buffer.add_string buf name;
-    Buffer.add_string buf (labels_str labels);
+    add_labels buf labels;
     Buffer.add_char buf ' ';
     Buffer.add_string buf (fmt_value v);
     Buffer.add_char buf '\n'
@@ -436,7 +451,11 @@ module Prometheus = struct
     List.iter (fun (labels, v) -> sample buf name labels v) series
 
   (* Upper bound of log2-µs bucket k, in seconds. *)
-  let le_of_bucket k = Printf.sprintf "%g" (2.0 ** float_of_int (k + 1) *. 1e-6)
+  let le_bound k = Printf.sprintf "%g" (2.0 ** float_of_int (k + 1) *. 1e-6)
+  let le_bounds = Array.init histogram_buckets le_bound
+
+  let le_of_bucket k =
+    if k >= 0 && k < histogram_buckets then le_bounds.(k) else le_bound k
 
   (* [series] = (labels, histogram, sum_seconds) list. Buckets are emitted
      cumulatively with a final +Inf equal to _count. *)

@@ -286,6 +286,424 @@ let test_wrong_length_is_unknown () =
   Alcotest.(check string) "long" "unknown-state"
     (pp_verdict (Filter.verdict_bytes ev long))
 
+(* --- the evaluator: allocation and the int64 kernel ----------------------------- *)
+
+(* E17's traffic shape on the FSP filter: a third confirmed witnesses, a third
+   witnesses with 1-3 random bytes changed, a third uniform noise. *)
+let e17_mix ~seed n =
+  let _, report, filter = force "fsp" in
+  let size = Filter.message_size filter in
+  let witnesses =
+    List.filter_map
+      (fun (t : Search.trojan) ->
+        if t.Search.confirmed then Some (witness_bytes t) else None)
+      report.Search.trojans
+    |> Array.of_list
+  in
+  let rng = Random.State.make [| seed |] in
+  Array.init n (fun i ->
+      let pick () =
+        Array.copy witnesses.(Random.State.int rng (Array.length witnesses))
+      in
+      let m =
+        match i mod 3 with
+        | 0 -> pick ()
+        | 1 ->
+            let m = pick () in
+            for _ = 1 to 1 + Random.State.int rng 3 do
+              m.(Random.State.int rng size) <- Random.State.int rng 256
+            done;
+            m
+        | _ -> Array.init size (fun _ -> Random.State.int rng 256)
+      in
+      Bytes.init size (fun j -> Char.chr m.(j)))
+
+(* The evaluator keeps values unboxed: a verdict allocates at most the
+   [Trojan_suspect] block. *)
+let test_allocation_free () =
+  let _, _, filter = force "fsp" in
+  let ev = Filter.evaluator filter in
+  let msgs = e17_mix ~seed:0x5e17 12_000 in
+  let trojans = ref 0 in
+  let run () =
+    trojans := 0;
+    for i = 0 to Array.length msgs - 1 do
+      match Filter.verdict_bytes ev msgs.(i) with
+      | Filter.Trojan_suspect _ -> incr trojans
+      | Filter.Accept | Filter.Unknown_state -> ()
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = (Gc.minor_words () -. before) /. float_of_int (Array.length msgs) in
+  Alcotest.(check bool) "the mix reaches Trojan verdicts" true (!trojans > 0);
+  if words > 2. then
+    Alcotest.failf "%.2f minor words per verdict (at most 2 allowed)" words
+
+(* Random well-sorted op programs, serialized as ACHFLT01 images and loaded
+   through [Filter.of_string], against a three-valued reference over [Bv]. *)
+type kop =
+  | Kbyte of int
+  | Kconst of Bv.t
+  | Kbool of bool
+  | Kunknown
+  | Knot of int
+  | Kand of int * int
+  | Kor of int * int
+  | Kite of int * int * int
+  | Keq of int * int
+  | Kcmp of int * int * int (* 10 ult, 11 slt, 12 ule, 13 sle *)
+  | Karith of int * int * int (* 14..18 and 20..25, as the image tags *)
+  | Kbnot of int
+  | Kconcat of int * int
+  | Kextract of int * int * int
+  | Kinset of int * (int64 * int64) array
+
+let image_of ~size ops ~root =
+  let buf = Buffer.create 1024 in
+  let u8 n = Buffer.add_char buf (Char.chr (n land 0xff)) in
+  let u32 n = Buffer.add_int32_be buf (Int32.of_int n) in
+  let i64 n = Buffer.add_int64_be buf n in
+  let str s =
+    u8 (String.length s lsr 8);
+    u8 (String.length s);
+    Buffer.add_string buf s
+  in
+  str "kernel";
+  str "bytes";
+  u32 size;
+  u32 (Array.fold_left (fun n o -> if o = Kunknown then n + 1 else n) 0 ops);
+  u32 (Array.length ops);
+  Array.iter
+    (function
+      | Kbyte k -> u8 0; u32 k
+      | Kconst c -> u8 1; u8 (Bv.width c); i64 (Bv.value c)
+      | Kbool b -> u8 (if b then 3 else 2)
+      | Kunknown -> u8 4
+      | Knot a -> u8 5; u32 a
+      | Kand (a, b) -> u8 6; u32 a; u32 b
+      | Kor (a, b) -> u8 7; u32 a; u32 b
+      | Kite (c, a, b) -> u8 8; u32 c; u32 a; u32 b
+      | Keq (a, b) -> u8 9; u32 a; u32 b
+      | Kcmp (t, a, b) | Karith (t, a, b) -> u8 t; u32 a; u32 b
+      | Kbnot a -> u8 19; u32 a
+      | Kconcat (a, b) -> u8 26; u32 a; u32 b
+      | Kextract (hi, lo, a) -> u8 27; u8 hi; u8 lo; u32 a
+      | Kinset (a, ranges) ->
+          u8 28; u32 a; u32 (Array.length ranges);
+          Array.iter (fun (lo, hi) -> i64 lo; i64 hi) ranges)
+    ops;
+  u32 1;
+  u32 7;
+  str "root";
+  u32 0;
+  u32 root;
+  Sealed.seal ~magic:"ACHFLT01" (Buffer.contents buf)
+
+type rv = Rb of bool | Rv of Bv.t | Ru
+
+let reference ops msg =
+  let vals = Array.make (Array.length ops) Ru in
+  let bv j = match vals.(j) with Rv x -> Some x | _ -> None in
+  let lift f a b =
+    match (bv a, bv b) with Some x, Some y -> f x y | _ -> Ru
+  in
+  Array.iteri
+    (fun i o ->
+      vals.(i) <-
+        (match o with
+        | Kbyte k -> Rv (Bv.of_int ~width:8 (Char.code (Bytes.get msg k)))
+        | Kconst c -> Rv c
+        | Kbool b -> Rb b
+        | Kunknown -> Ru
+        | Knot a -> ( match vals.(a) with Rb x -> Rb (not x) | _ -> Ru)
+        | Kand (a, b) -> (
+            match (vals.(a), vals.(b)) with
+            | Rb false, _ | _, Rb false -> Rb false
+            | Rb true, Rb true -> Rb true
+            | _ -> Ru)
+        | Kor (a, b) -> (
+            match (vals.(a), vals.(b)) with
+            | Rb true, _ | _, Rb true -> Rb true
+            | Rb false, Rb false -> Rb false
+            | _ -> Ru)
+        | Kite (c, a, b) -> (
+            match vals.(c) with Rb true -> vals.(a) | Rb false -> vals.(b) | _ -> Ru)
+        | Keq (a, b) -> (
+            match (vals.(a), vals.(b)) with
+            | Rv x, Rv y -> Rb (Bv.equal x y)
+            | Rb x, Rb y -> Rb (x = y)
+            | _ -> Ru)
+        | Kcmp (t, a, b) ->
+            let f =
+              match t with 10 -> Bv.ult | 11 -> Bv.slt | 12 -> Bv.ule | _ -> Bv.sle
+            in
+            lift (fun x y -> Rb (f x y)) a b
+        | Karith (t, a, b) ->
+            let f =
+              match t with
+              | 14 -> Bv.add | 15 -> Bv.sub | 16 -> Bv.mul | 17 -> Bv.udiv
+              | 18 -> Bv.urem | 20 -> Bv.logand | 21 -> Bv.logor
+              | 22 -> Bv.logxor | 23 -> Bv.shl | 24 -> Bv.lshr | _ -> Bv.ashr
+            in
+            lift (fun x y -> Rv (f x y)) a b
+        | Kbnot a -> ( match bv a with Some x -> Rv (Bv.lognot x) | None -> Ru)
+        | Kconcat (a, b) -> lift (fun x y -> Rv (Bv.concat x y)) a b
+        | Kextract (hi, lo, a) -> (
+            match bv a with Some x -> Rv (Bv.extract ~hi ~lo x) | None -> Ru)
+        | Kinset (a, ranges) -> (
+            match bv a with
+            | None -> Ru
+            | Some x ->
+                let v = Bv.value x in
+                Rb
+                  (Array.exists
+                     (fun (lo, hi) ->
+                       Int64.unsigned_compare lo v <= 0
+                       && Int64.unsigned_compare v hi <= 0)
+                     ranges))))
+    ops;
+  vals
+
+let kernel_widths = [| 1; 8; 32; 63; 64 |]
+
+(* Values that sit on the edges the kernel must get right: 0 (division by
+   zero), shift amounts around the width, the sign bit, all ones. *)
+let edge_value rng w =
+  let mask = if w = 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L in
+  let v =
+    match Random.State.int rng 9 with
+    | 0 -> 0L
+    | 1 -> 1L
+    | 2 -> Int64.of_int (w - 1)
+    | 3 -> Int64.of_int w
+    | 4 -> Int64.of_int (w + 1 + Random.State.int rng 70)
+    | 5 -> Int64.shift_left 1L (w - 1)
+    | 6 -> -1L
+    | 7 -> Int64.lognot (Int64.shift_left 1L (w - 1))
+    | _ -> Random.State.bits64 rng
+  in
+  Bv.make ~width:w (Int64.logand v mask)
+
+(* A program: the message bytes, edge constants and message-dependent values
+   of every kernel width, unknown and constant booleans, then [n] random
+   ops over whatever has a fitting sort. *)
+let random_program rng ~size ~n =
+  let ops = ref [||] in
+  let sorts = ref [||] in
+  let push o sort =
+    ops := Array.append !ops [| o |];
+    sorts := Array.append !sorts [| sort |];
+    Array.length !ops - 1
+  in
+  let bytes = Array.init size (fun k -> push (Kbyte k) 8) in
+  let b0 = push (Kconcat (bytes.(0), bytes.(1))) 16 in
+  let b1 = push (Kconcat (bytes.(2), bytes.(3))) 16 in
+  let w32 = push (Kconcat (b0, b1)) 32 in
+  let b2 = push (Kconcat (bytes.(4), bytes.(5))) 16 in
+  let b3 = push (Kconcat (bytes.(6), bytes.(7))) 16 in
+  let w64 = push (Kconcat (w32, push (Kconcat (b2, b3)) 32)) 64 in
+  ignore (push (Kextract (62, 0, w64)) 63);
+  ignore (push (Kextract (7, 7, bytes.(0))) 1);
+  Array.iter
+    (fun w ->
+      for _ = 1 to 3 do
+        let c = edge_value rng w in
+        ignore (push (Kconst c) w)
+      done)
+    kernel_widths;
+  ignore (push (Kbool true) 0);
+  ignore (push (Kbool false) 0);
+  ignore (push Kunknown 0);
+  ignore (push Kunknown 0);
+  let of_sort s =
+    let acc = ref [] in
+    Array.iteri (fun i s' -> if s' = s then acc := i :: !acc) !sorts;
+    Array.of_list !acc
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let bv_width () =
+    let ws = List.sort_uniq compare (List.filter (fun w -> w > 0) (Array.to_list !sorts)) in
+    List.nth ws (Random.State.int rng (List.length ws))
+  in
+  for _ = 1 to n do
+    match Random.State.int rng 16 with
+    | 0 -> ignore (push (Knot (pick (of_sort 0))) 0)
+    | 1 -> ignore (push (Kand (pick (of_sort 0), pick (of_sort 0))) 0)
+    | 2 -> ignore (push (Kor (pick (of_sort 0), pick (of_sort 0))) 0)
+    | 3 ->
+        let s = if Random.State.bool rng then 0 else bv_width () in
+        let xs = of_sort s in
+        ignore (push (Kite (pick (of_sort 0), pick xs, pick xs)) s)
+    | 4 ->
+        let xs = of_sort (if Random.State.bool rng then 0 else bv_width ()) in
+        ignore (push (Keq (pick xs, pick xs)) 0)
+    | 5 ->
+        let xs = of_sort (bv_width ()) in
+        ignore (push (Kcmp (10 + Random.State.int rng 4, pick xs, pick xs)) 0)
+    | 6 | 7 | 8 | 9 ->
+        let w = bv_width () in
+        let xs = of_sort w in
+        let tags = [| 14; 15; 16; 17; 18; 20; 21; 22; 23; 24; 25 |] in
+        ignore (push (Karith (pick tags, pick xs, pick xs)) w)
+    | 10 ->
+        let w = bv_width () in
+        ignore (push (Kbnot (pick (of_sort w))) w)
+    | 11 ->
+        let wa = bv_width () in
+        let fits = List.filter (fun w -> w > 0 && wa + w <= 64) (Array.to_list !sorts) in
+        if fits <> [] then begin
+          let wb = List.nth fits (Random.State.int rng (List.length fits)) in
+          ignore (push (Kconcat (pick (of_sort wa), pick (of_sort wb))) (wa + wb))
+        end
+    | 12 ->
+        let w = bv_width () in
+        let lo = Random.State.int rng w in
+        let hi = lo + Random.State.int rng (w - lo) in
+        ignore (push (Kextract (hi, lo, pick (of_sort w))) (hi - lo + 1))
+    | 13 ->
+        let w = bv_width () in
+        let ranges =
+          Array.init (1 + Random.State.int rng 3) (fun _ ->
+              let x = Bv.value (edge_value rng w) and y = Bv.value (edge_value rng w) in
+              if Int64.unsigned_compare x y <= 0 then (x, y) else (y, x))
+        in
+        ignore (push (Kinset (pick (of_sort w), ranges)) 0)
+    | 14 -> ignore (push (Kbyte (Random.State.int rng size)) 8)
+    | _ ->
+        let w = pick kernel_widths in
+        ignore (push (Kconst (edge_value rng w)) w)
+  done;
+  (!ops, !sorts)
+
+(* Observe op [i] through a one-state image: a boolean op is the root; a
+   bitvector op is compared with the reference value (or with itself when
+   the reference is unknown, which must stay unknown). *)
+let observe ~size ops sorts msg i expected =
+  let extra, want =
+    match (sorts.(i), expected) with
+    | 0, Rb b -> ([||], if b then 'T' else 'A')
+    | 0, _ -> ([||], 'U')
+    | _, Rv v -> ([| Kconst v |], 'T')
+    | _, _ -> ([| Kconst (Bv.zero sorts.(i)) |], 'U')
+  in
+  let n = Array.length ops in
+  let ops', root =
+    if extra = [||] then (ops, i)
+    else (Array.concat [ ops; extra; [| Keq (i, n) |] ], n + 1)
+  in
+  match Filter.of_string (image_of ~size ops' ~root) with
+  | Error e -> Alcotest.failf "test image rejected: %s" e
+  | Ok f ->
+      let got =
+        match Filter.verdict_bytes (Filter.evaluator f) msg with
+        | Filter.Trojan_suspect _ -> 'T'
+        | Filter.Accept -> 'A'
+        | Filter.Unknown_state -> 'U'
+      in
+      (got, want)
+
+let program_of_seed seed =
+  let rng = Random.State.make [| seed |] in
+  let size = 8 in
+  let ops, sorts = random_program rng ~size ~n:40 in
+  let msg =
+    Bytes.init size (fun _ ->
+        Char.chr
+          (match Random.State.int rng 4 with
+          | 0 -> 0
+          | 1 -> 0xff
+          | 2 -> 0x80
+          | _ -> Random.State.int rng 256))
+  in
+  (ops, sorts, msg)
+
+(* [None] when the kernel agrees with the reference on every op. *)
+let kernel_mismatch seed =
+  let ops, sorts, msg = program_of_seed seed in
+  let expected = reference ops msg in
+  let rec go i =
+    if i >= Array.length ops then None
+    else
+      let got, want = observe ~size:(Bytes.length msg) ops sorts msg i expected.(i) in
+      if got <> want then
+        Some (Printf.sprintf "op %d: kernel says %c, reference %c" i got want)
+      else go (i + 1)
+  in
+  go 0
+
+let kernel_differential =
+  QCheck2.Test.make ~name:"kernel == Bv reference on random programs"
+    ~count:300 ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      match kernel_mismatch seed with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s" m)
+
+(* Seeds 0-299: the kernel agrees with the reference, and between them the
+   programs reach every op kind, width and edge the property is meant to
+   cover. *)
+let test_kernel_coverage () =
+  let seen = Hashtbl.create 64 in
+  let note k = Hashtbl.replace seen k () in
+  for seed = 0 to 299 do
+    (match kernel_mismatch seed with
+    | None -> ()
+    | Some m -> Alcotest.failf "seed %d: %s" seed m);
+    let ops, sorts, msg = program_of_seed seed in
+    let vals = reference ops msg in
+    let value j = match vals.(j) with Rv x -> Some x | _ -> None in
+    Array.iteri
+      (fun i o ->
+        match o with
+        | Knot _ -> note "not"
+        | Kand (a, b) | Kor (a, b) ->
+            note (match o with Kand _ -> "and" | _ -> "or");
+            if vals.(a) = Ru || vals.(b) = Ru then note "unknown through and/or"
+        | Kite (c, _, _) ->
+            note "ite";
+            if vals.(c) = Ru then note "unknown through ite"
+        | Keq (a, _) ->
+            note "eq";
+            if vals.(a) = Ru then note "unknown through eq"
+        | Kcmp (t, a, _) -> (
+            note (Printf.sprintf "cmp %d" t);
+            match value a with
+            | Some x when (t = 11 || t = 13) && Bv.bit x (Bv.width x - 1) ->
+                note "signed compare of a negative"
+            | _ -> ())
+        | Karith (t, a, b) -> (
+            note (Printf.sprintf "arith %d" t);
+            note (Printf.sprintf "width %d" sorts.(i));
+            match (value a, value b) with
+            | Some x, Some y ->
+                let w = Bv.width y in
+                if (t = 17 || t = 18) && Bv.value y = 0L then note "division by zero";
+                if t >= 23 && Int64.unsigned_compare (Bv.value y) (Int64.of_int w) >= 0
+                then note "shift by at least the width";
+                if t = 25 && Bv.bit x (w - 1) then note "ashr of a negative"
+            | _ -> ())
+        | Kbnot _ -> note "bnot"
+        | Kconcat _ -> note "concat"
+        | Kextract _ -> note "extract"
+        | Kinset _ -> note "inset"
+        | Kbyte _ | Kconst _ | Kbool _ | Kunknown -> ())
+      ops
+  done;
+  let wanted =
+    [ "not"; "and"; "or"; "ite"; "eq"; "bnot"; "concat"; "extract"; "inset";
+      "unknown through and/or"; "unknown through ite"; "unknown through eq";
+      "signed compare of a negative"; "division by zero";
+      "shift by at least the width"; "ashr of a negative" ]
+    @ List.map (Printf.sprintf "cmp %d") [ 10; 11; 12; 13 ]
+    @ List.map (Printf.sprintf "arith %d") [ 14; 15; 16; 17; 18; 20; 21; 22; 23; 24; 25 ]
+    @ List.map (Printf.sprintf "width %d") (Array.to_list kernel_widths)
+  in
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem seen k) then Alcotest.failf "programs never reach: %s" k)
+    wanted
+
 (* --- serialization: round trip and corruption guards -------------------------- *)
 
 let fsp_image = lazy (let _, _, filter = force "fsp" in Filter.to_string filter)
@@ -806,6 +1224,155 @@ let test_scrape_while_serving () =
   let stats = Domain.join daemon in
   Alcotest.(check int) "every frame judged" !sent stats.Daemon.messages
 
+(* --- the daemon: reply order within one wakeup --------------------------------- *)
+
+(* An in-process daemon on a fresh socket; [finish] stops it and returns its
+   statistics. *)
+let spawn_daemon filter =
+  let sock = temp_socket_path () in
+  let stop = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Daemon.run ~filter ~address:(Daemon.Unix_socket sock)
+          ~stop:(fun () -> Atomic.get stop)
+          ())
+  in
+  let finish () =
+    Atomic.set stop true;
+    Domain.join daemon
+  in
+  (sock, finish)
+
+let write_whole fd bytes =
+  let n = Unix.write fd bytes 0 (Bytes.length bytes) in
+  Alcotest.(check int) "one write took every byte" (Bytes.length bytes) n
+
+let stats_request () =
+  let req = Bytes.create 4 in
+  Bytes.set_int32_be req 0 0xFFFFFFFFl;
+  req
+
+(* Expected 5-byte reply of the in-process evaluator. *)
+let expected_reply ev payload =
+  match Filter.verdict_bytes ev payload with
+  | Filter.Accept -> ('A', 0xFFFFFFFF)
+  | Filter.Trojan_suspect id -> ('T', id)
+  | Filter.Unknown_state -> ('U', 0xFFFFFFFF)
+
+let check_replies what ev payloads replies =
+  List.iteri
+    (fun k payload ->
+      let c, state = expected_reply ev payload in
+      let got_c = Bytes.get replies (5 * k) in
+      let got_state =
+        Int32.to_int (Bytes.get_int32_be replies ((5 * k) + 1)) land 0xFFFFFFFF
+      in
+      if got_c <> c || got_state <> state then
+        Alcotest.failf "%s: reply %d is %c %d, want %c %d" what k got_c
+          got_state c state)
+    payloads
+
+let gossip_traffic () =
+  let _, report, filter = force "gossip" in
+  let witness =
+    match
+      List.find_opt (fun (t : Search.trojan) -> t.Search.confirmed)
+        report.Search.trojans
+    with
+    | Some t -> bytes_of_witness t.Search.witness
+    | None -> Alcotest.fail "gossip analysis reported no confirmed trojan"
+  in
+  let benign = Bytes.make (Filter.message_size filter) '\255' in
+  (filter, witness, benign, Bytes.make 2 '\000')
+
+(* Frames, STATS, frames in one write: the replies keep that order and the
+   STATS reply counts only the frames before it. *)
+let test_stats_in_order () =
+  let filter, witness, benign, short = gossip_traffic () in
+  let ev = Filter.evaluator filter in
+  let sock, finish = spawn_daemon filter in
+  let fd = connect_unix sock in
+  let before = [ witness; benign; short ] and after = [ benign; witness ] in
+  let frames l = List.map frame_of l in
+  write_whole fd
+    (Bytes.concat Bytes.empty (frames before @ [ stats_request () ] @ frames after));
+  check_replies "before STATS" ev before (read_exactly fd 15);
+  let len = Int32.to_int (Bytes.get_int32_be (read_exactly fd 4) 0) in
+  let kv = kv_of (Bytes.to_string (read_exactly fd len)) in
+  Alcotest.(check int) "STATS counts the frames before it" 3 (stat_int kv "messages");
+  Alcotest.(check int) "STATS accepts" 1 (stat_int kv "accepts");
+  Alcotest.(check int) "STATS trojan suspects" 1 (stat_int kv "trojan_suspects");
+  Alcotest.(check int) "STATS unknowns" 1 (stat_int kv "unknowns");
+  check_replies "after STATS" ev after (read_exactly fd 10);
+  Unix.close fd;
+  let stats = finish () in
+  Alcotest.(check int) "every frame judged" 5 stats.Daemon.messages
+
+(* Valid frames, then an oversized length word, in one write: every verdict
+   arrives before the connection drops. *)
+let test_verdicts_before_drop () =
+  let filter, witness, benign, short = gossip_traffic () in
+  let ev = Filter.evaluator filter in
+  let sock, finish = spawn_daemon filter in
+  let fd = connect_unix sock in
+  let payloads = [ benign; witness; short; witness ] in
+  let huge = Bytes.create 4 in
+  Bytes.set_int32_be huge 0 (Int32.of_int (2 * 1024 * 1024));
+  write_whole fd (Bytes.concat Bytes.empty (List.map frame_of payloads @ [ huge ]));
+  check_replies "before the drop" ev payloads (read_exactly fd 20);
+  let eof =
+    match Unix.read fd (Bytes.create 1) 0 1 with
+    | 0 -> true
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+  in
+  Alcotest.(check bool) "then the connection drops" true eof;
+  Unix.close fd;
+  let stats = finish () in
+  Alcotest.(check int) "verdicts counted" 4 stats.Daemon.messages;
+  Alcotest.(check int) "drop counted" 1 stats.Daemon.dropped_frames
+
+(* 3,000 pipelined frames in one write, more than the daemon's initial read
+   buffer holds: every reply is correct and in order. *)
+let test_burst_beyond_buffer () =
+  let filter, witness, benign, short = gossip_traffic () in
+  let ev = Filter.evaluator filter in
+  let sock, finish = spawn_daemon filter in
+  let fd = connect_unix sock in
+  let rng = Random.State.make [| 3000 |] in
+  let payloads =
+    List.init 3000 (fun i ->
+        match i mod 4 with
+        | 0 -> witness
+        | 1 -> benign
+        | 2 -> short
+        | _ -> Bytes.init (Bytes.length benign) (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  let burst = Bytes.concat Bytes.empty (List.map frame_of payloads) in
+  Alcotest.(check bool) "burst exceeds the 16 KiB initial read buffer" true
+    (Bytes.length burst > 16384);
+  write_whole fd burst;
+  check_replies "burst" ev payloads (read_exactly fd (5 * 3000));
+  Unix.close fd;
+  let stats = finish () in
+  Alcotest.(check int) "every frame judged" 3000 stats.Daemon.messages
+
+(* A 100 KB frame of the wrong length, then a normal one: the read buffer
+   grows to hold it, the reply is 'U', and service goes on after it. *)
+let test_large_wrong_length () =
+  let filter, _, benign, _ = gossip_traffic () in
+  let sock, finish = spawn_daemon filter in
+  let fd = connect_unix sock in
+  let large = Bytes.make 100_000 '\007' in
+  write_whole fd (Bytes.concat Bytes.empty [ frame_of large; frame_of benign ]);
+  let replies = read_exactly fd 10 in
+  Alcotest.(check char) "large frame is unknown" 'U' (Bytes.get replies 0);
+  Alcotest.(check char) "the next frame is judged" 'A' (Bytes.get replies 5);
+  Unix.close fd;
+  let stats = finish () in
+  Alcotest.(check int) "both judged" 2 stats.Daemon.messages;
+  Alcotest.(check int) "no drop" 0 stats.Daemon.dropped_frames
+
 (* --- the daemon as a real subprocess (achilles serve round trip) -------------- *)
 
 let cli_binary () =
@@ -919,5 +1486,19 @@ let () =
             test_scrape_while_serving;
           Alcotest.test_case "serve subprocess round trip" `Quick
             test_serve_subprocess;
+          Alcotest.test_case "STATS keeps frame order" `Quick test_stats_in_order;
+          Alcotest.test_case "verdicts sent before a drop" `Quick
+            test_verdicts_before_drop;
+          Alcotest.test_case "burst beyond the read buffer" `Quick
+            test_burst_beyond_buffer;
+          Alcotest.test_case "large wrong-length frame" `Quick
+            test_large_wrong_length;
         ] );
+      ( "evaluator",
+        [
+          Alcotest.test_case "allocation-free verdicts" `Quick
+            test_allocation_free;
+          Alcotest.test_case "kernel coverage" `Quick test_kernel_coverage;
+        ] );
+      qsuite "kernel" [ kernel_differential ];
     ]

@@ -643,6 +643,14 @@ let test_prometheus_escaping () =
   Alcotest.(check string) "counter family rendering"
     ("# HELP t_total line1\\nline2\n# TYPE t_total counter\n"
    ^ "t_total 3\nt_total{verdict=\"a\\\"b\\\\c\"} 1.5\n")
+    (Buffer.contents buf);
+  let buf = Buffer.create 128 in
+  Obs.Prometheus.gauge buf ~name:"g" ~help:"g"
+    [ ([], 0.); ([], -0.); ([], -2.); ([ ("k", "plain"); ("j", "x") ], 42.);
+      ([], 999999999999999.); ([], 1e15) ];
+  Alcotest.(check string) "integral values render as \"%.0f\" does"
+    ("# HELP g g\n# TYPE g gauge\n" ^ "g 0\ng -0\ng -2\ng{k=\"plain\",j=\"x\"} 42\n"
+   ^ "g 999999999999999\ng 1e+15\n")
     (Buffer.contents buf)
 
 let test_prometheus_histogram () =
