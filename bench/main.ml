@@ -1,13 +1,14 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation (§6), plus the in-text comparisons, on the bundled
-   models — followed by Bechamel micro-benchmarks of the analysis
-   primitives.
+   models (E1-E10), and two checks beyond the paper: E18, the static slice
+   oracle on and off, and E19, the cost of live telemetry on a scraped
+   serving daemon. Performance is measured by perfbench (BENCHMARK.json),
+   not here.
 
      dune exec bench/main.exe                    # everything
      dune exec bench/main.exe -- --list          # list experiments
      dune exec bench/main.exe -- --experiment table1
      dune exec bench/main.exe -- --quick         # reduced enumerations
-     dune exec bench/main.exe -- --skip-bechamel
 
    Absolute numbers differ from the paper (their testbed ran S2E on x86
    binaries for hours; we run a DSL symbolic executor for seconds) — the
@@ -599,233 +600,6 @@ let experiment_local_state () =
     "@.  One symbolic run covers what would otherwise need one concrete@.\
     \  analysis per proposal value — the trade-off described in §3.4.@."
 
-(* --- E11: multicore scaling ----------------------------------------------------------------------- *)
-
-let experiment_scaling () =
-  banner "E11: domain-parallel server search — scaling and determinism";
-  let run domains =
-    (* identical starting state for every run so the reports (including
-       fresh-variable ids) are comparable byte for byte *)
-    Solver.reset_all_for_tests ();
-    Obs.reset_all ();
-    Term.set_fresh_counter 0;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze
-        ~search_config:{ fsp_search_config with Search.domains }
-        ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-        ~server:Fsp_model.server ()
-    in
-    let t = Unix.gettimeofday () -. t0 in
-    (* witness jobs forked, and those another domain than the forking
-       shard's ran *)
-    let counters = (Obs.aggregate ()).Obs.counters in
-    let get name = Option.value ~default:0 (List.assoc_opt name counters) in
-    (analysis, t, (get "search.witness_jobs", get "search.witness_jobs_remote"))
-  in
-  let runs = List.map (fun d -> (d, run d)) [ 1; 2; 4 ] in
-  let _, (_, t1, _) = List.hd runs in
-  let base_digest =
-    let _, (a, _, _) = List.hd runs in
-    Report.report_digest a.Achilles.report
-  in
-  Format.printf "  %-8s %10s %10s %9s %12s  %s@." "domains" "total (s)"
-    "server (s)" "speedup" "jobs/remote" "report digest";
-  let rows =
-    List.map
-      (fun (d, ((analysis : Achilles.analysis), t, (jobs, remote))) ->
-        let digest = Report.report_digest analysis.Achilles.report in
-        let server = analysis.Achilles.timing.Achilles.server_analysis in
-        Format.printf "  %-8d %10.2f %10.2f %8.2fx %12s  %s%s@." d t server
-          (t1 /. max t 1e-9)
-          (Printf.sprintf "%d/%d" jobs remote)
-          digest
-          (if digest = base_digest then "" else "  << MISMATCH");
-        Printf.sprintf "%d,%.4f,%.4f,%.4f,%d,%d,%s" d t server
-          (t1 /. max t 1e-9) jobs remote digest)
-      runs
-  in
-  let all_equal =
-    List.for_all
-      (fun (_, ((a : Achilles.analysis), _, _)) ->
-        Report.report_digest a.Achilles.report = base_digest)
-      runs
-  in
-  Format.printf "  reports identical across domain counts: %b@." all_equal;
-  let cores =
-    match Domain.recommended_domain_count () with n when n > 0 -> n | _ -> 1
-  in
-  Format.printf
-    "@.  (speedup is bounded by the machine's cores — this host reports %d;@.\
-    \  on a single-core host the parallel runs only demonstrate determinism@.\
-    \  and pay the sharding spine-replay overhead)@."
-    cores;
-  (* always persist the series, defaulting next to the other figure data *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "scaling.csv"
-    "domains,total_s,server_analysis_s,speedup,witness_jobs,witness_jobs_remote,digest"
-    rows;
-  csv_dir := saved;
-  if not all_equal then begin
-    Format.eprintf "scaling: reports differ across domain counts@.";
-    exit 1
-  end
-
-(* --- E12: robustness drill ----------------------------------------------------------------------- *)
-
-let experiment_robustness () =
-  banner "E12: degraded runs — fault injection and starved solver budgets";
-  let distinct_states (r : Search.report) =
-    List.sort_uniq compare
-      (List.map
-         (fun (t : Search.trojan) -> t.Search.server_state_id)
-         r.Search.trojans)
-  in
-  let run ~label ~fault_rate ~budget =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    Solver.set_fault_injection ~rate:fault_rate ~seed:0xf5b ();
-    let analysis =
-      Fun.protect
-        ~finally:(fun () -> Solver.set_fault_injection ())
-        (fun () ->
-          Achilles.analyze
-            ~search_config:
-              {
-                fsp_search_config with
-                Search.domains = 4;
-                Search.solver_budget = budget;
-              }
-            ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-            ~server:Fsp_model.server ())
-    in
-    let r = analysis.Achilles.report in
-    let c = r.Search.coverage in
-    let unconfirmed =
-      List.length
-        (List.filter
-           (fun (t : Search.trojan) -> not t.Search.confirmed)
-           r.Search.trojans)
-    in
-    Format.printf
-      "  %-16s %6.2fs  %3d trojans (%d unconfirmed), %2d states, unknowns \
-       %d/%d/%d, exhausted %d, faults %d@."
-      label r.Search.search_stats.Search.wall_time
-      (List.length r.Search.trojans)
-      unconfirmed
-      (List.length (distinct_states r))
-      c.Search.unknown_alive c.Search.unknown_prune c.Search.unknown_witness
-      c.Search.budget_exhaustions c.Search.injected_faults;
-    r
-  in
-  let clean = run ~label:"clean" ~fault_rate:0. ~budget:None in
-  let faulty = run ~label:"faults 5%" ~fault_rate:0.05 ~budget:None in
-  let starved =
-    run ~label:"starved budget" ~fault_rate:0.
-      ~budget:(Some (Solver.budget ~conflicts:0 ~escalations:1 ()))
-  in
-  (* the over-approximation guarantee, measured: a degraded run may add
-     unconfirmed trojan states but must not lose one the clean run found *)
-  let lost label degraded =
-    let d = List.length (distinct_states degraded) in
-    let c = List.length (distinct_states clean) in
-    if d < c then begin
-      Format.eprintf "robustness: %s run lost trojan states (%d < %d)@." label
-        d c;
-      true
-    end
-    else false
-  in
-  let any_lost = lost "faulty" faulty || lost "starved" starved in
-  Format.printf "  degraded runs kept every clean trojan state: %b@."
-    (not any_lost);
-  if any_lost then exit 1
-
-(* --- E14: per-phase profile through the tracing layer ------------------------------- *)
-
-let experiment_profile () =
-  banner "E14: per-phase time attribution — tracing + trace summarize";
-  let profile name run =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let file =
-      Filename.temp_file ("achilles-profile-" ^ name ^ "-") ".jsonl"
-    in
-    Obs.Trace.enable file;
-    ignore (run ());
-    Obs.Trace.disable ();
-    let summary =
-      match Obs.Summary.load file with
-      | Ok s -> s
-      | Error e ->
-          Format.printf "  %s: trace unreadable: %s@." name e;
-          exit 1
-    in
-    Sys.remove file;
-    (name, summary)
-  in
-  let fsp =
-    profile "fsp" (fun () ->
-        Achilles.analyze ~search_config:fsp_search_config
-          ~layout:Fsp_model.layout ~clients:(Fsp_model.clients ())
-          ~server:Fsp_model.server ())
-  in
-  let pbft =
-    profile "pbft" (fun () ->
-        Achilles.analyze
-          ~search_config:(Lazy.force pbft_config)
-          ~layout:Pbft_model.layout ~clients:[ Pbft_model.client ]
-          ~server:Pbft_model.replica ())
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (name, (s : Obs.Summary.t)) ->
-      let open Obs.Summary in
-      Format.printf "@.  %s: %.3fs wall, %.1f%% attributed to phases@." name
-        s.wall
-        (100. *. s.attributed);
-      Format.printf "    %-16s %10s %8s %8s@." "phase" "self(s)" "share"
-        "spans";
-      let sorted =
-        List.sort (fun a b -> compare b.self_seconds a.self_seconds) s.rows
-      in
-      List.iter
-        (fun r ->
-          let share =
-            if s.wall > 0. then r.self_seconds /. s.wall else 0.
-          in
-          Format.printf "    %-16s %10.3f %7.1f%% %8d@." r.row_phase
-            r.self_seconds (100. *. share) r.row_spans;
-          rows :=
-            Printf.sprintf "%s,%s,%.6f,%.6f,%d,%.4f" name r.row_phase
-              r.self_seconds r.total_seconds r.row_spans share
-            :: !rows)
-        sorted)
-    [ fsp; pbft ];
-  (* always persist the per-phase shares, like the other figure experiments *)
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "profile.csv" "target,phase,self_s,total_s,spans,share_of_wall"
-    (List.rev !rows);
-  csv_dir := saved;
-  (* acceptance: the taxonomy must account for (almost) the whole FSP run *)
-  let _, (fsp_summary : Obs.Summary.t) = fsp in
-  if fsp_summary.Obs.Summary.attributed < 0.95 then begin
-    Format.printf
-      "  FAIL: only %.1f%% of the FSP run attributed to named phases (< 95%%)@."
-      (100. *. fsp_summary.Obs.Summary.attributed);
-    exit 1
-  end
-
 (* --- E18: static dependency slicing ----------------------------------------------- *)
 
 let experiment_slice () =
@@ -1009,431 +783,14 @@ let experiment_slice () =
   csv_dir := saved;
   if !failed then exit 1
 
-(* --- Bechamel micro-benchmarks ------------------------------------------------------------------ *)
-
-let bechamel_benchmarks () =
-  banner "Bechamel micro-benchmarks of the analysis primitives";
-  let open Bechamel in
-  let open Toolkit in
-  (* shared fixtures *)
-  let x = Term.fresh_var ~name:"bx" (Term.Bitvec 8) in
-  let sat_query =
-    [
-      Term.ult (Term.var x) (Term.int ~width:8 100);
-      Term.ugt (Term.var x) (Term.int ~width:8 10);
-    ]
-  in
-  let unsat_query =
-    [
-      Term.ult (Term.var x) (Term.int ~width:8 10);
-      Term.ugt (Term.var x) (Term.int ~width:8 100);
-    ]
-  in
-  let mul_query =
-    let y = Term.fresh_var ~name:"by" (Term.Bitvec 8) in
-    [
-      Term.eq
-        (Term.mul (Term.var x) (Term.var y))
-        (Term.int ~width:8 143);
-      Term.ugt (Term.var x) (Term.int ~width:8 1);
-      Term.ugt (Term.var y) (Term.int ~width:8 1);
-    ]
-  in
-  let fsp_pc =
-    fst (Client_extract.extract ~layout:Fsp_model.layout (Fsp_model.clients ()))
-  in
-  let fsp_path = List.hd fsp_pc.Predicate.paths in
-  let server_vars =
-    Array.init Fsp_model.message_size (fun i ->
-        Term.fresh_var ~name:(Printf.sprintf "sb%d" i) (Term.Bitvec 8))
-  in
-  let uncached f () =
-    Solver.set_cache_enabled false;
-    let r = f () in
-    Solver.set_cache_enabled true;
-    r
-  in
-  let tests =
-    Test.make_grouped ~name:"achilles"
-      [
-        (* Table 1 machinery: the full pipeline on the working example *)
-        Test.make ~name:"table1:rw-analysis"
-          (Staged.stage (fun () ->
-               Achilles.analyze
-                 ~search_config:
-                   {
-                     Search.default_config with
-                     Search.mask = Some [ "address" ];
-                   }
-                 ~layout:Rw_example.layout ~clients:[ Rw_example.client ]
-                 ~server:Rw_example.server ()));
-        (* Figure 10 machinery: witness enumeration on one FSP accept path *)
-        Test.make ~name:"fig10:client-extraction"
-          (Staged.stage (fun () ->
-               Client_extract.extract ~layout:Fsp_model.layout
-                 [ Fsp_model.client (List.hd Fsp_model.commands) ]));
-        (* Figure 11 machinery: one alive-set solver check *)
-        Test.make ~name:"fig11:alive-check"
-          (Staged.stage
-             (uncached (fun () ->
-                  Solver.is_sat
-                    (Predicate.bind_to_server ~server_vars fsp_path))));
-        (* §6.4 machinery: negate and differentFrom primitives *)
-        Test.make ~name:"ablation:negate-path"
-          (Staged.stage (fun () ->
-               Negate.negate_path ~mask:Fsp_model.analysis_mask
-                 ~layout:Fsp_model.layout ~server_vars fsp_path));
-        (* solver primitives under everything *)
-        Test.make ~name:"solver:sat-interval"
-          (Staged.stage (uncached (fun () -> Solver.is_sat sat_query)));
-        Test.make ~name:"solver:unsat-interval"
-          (Staged.stage (uncached (fun () -> Solver.is_unsat unsat_query)));
-        Test.make ~name:"solver:sat-factoring"
-          (Staged.stage (uncached (fun () -> Solver.is_sat mul_query)));
-        Test.make ~name:"solver:cached-hit"
-          (Staged.stage (fun () -> Solver.is_sat sat_query));
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if !quick then 0.25 else 1.0))
-      ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t
-          | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Format.printf "  %-32s %16s@." "benchmark" "time per run";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if ns >= 1e9 then Printf.sprintf "%8.2f  s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.2f ns" ns
-      in
-      Format.printf "  %-32s %16s@." name pretty)
-    rows
-
-(* --- E16: multi-process search ------------------------------------------------------------------ *)
-
-let experiment_dist () =
-  banner "E16: multi-process search — coordinator/worker digest equality";
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | true ->
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  let config = { fsp_search_config with Search.domains = 4 } in
-  (* the golden single-process run every distributed configuration must
-     reproduce byte for byte *)
-  let golden_digest, t_inproc =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let t0 = Unix.gettimeofday () in
-    let analysis =
-      Achilles.analyze ~search_config:config ~layout:Fsp_model.layout
-        ~clients:(Fsp_model.clients ()) ~server:Fsp_model.server ()
-    in
-    (Report.report_digest analysis.Achilles.report, Unix.gettimeofday () -. t0)
-  in
-  let dist ~label ~workers ~fault_rate =
-    Solver.reset_all_for_tests ();
-    Term.set_fresh_counter 0;
-    let client, _ =
-      Client_extract.extract ~config:Interp.default_config
-        ~layout:Fsp_model.layout
-        (Fsp_model.clients ())
-    in
-    let different_from =
-      if config.Search.use_different_from then
-        Some (fst (Different_from.compute ?mask:config.Search.mask client))
-      else None
-    in
-    let job =
-      Achilles_dist.Worker.job_of ~config ?different_from ~client
-        ~server:Fsp_model.server ()
-    in
-    let params =
-      {
-        Achilles_dist.Worker.heartbeat_interval = 0.02;
-        snapshot_interval = 0.05;
-        poll_sleep = 0.005;
-        orphan_timeout = 30.0;
-        fault_rate;
-        fault_seed = 0xf00d;
-      }
-    in
-    let workdir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "achilles-bench-dist-%d-%s" (Unix.getpid ()) label)
-    in
-    rm_rf workdir;
-    Unix.mkdir workdir 0o755;
-    let ccfg =
-      {
-        Achilles_dist.Coordinator.c_workers = workers;
-        c_lease_ttl = 5.0;
-        c_reassign_budget = 50;
-        c_max_respawns = 500;
-        c_backoff = (fun _ -> 0.01);
-        c_drain_grace = 10.0;
-        c_tick = 0.005;
-        c_cancel = (fun () -> false);
-        c_status_interval = 0.1;
-      }
-    in
-    let spawn =
-      Achilles_dist.Coordinator.domain_spawner ~workdir ~job ~params ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let report = Achilles_dist.Coordinator.run ~config:ccfg ~workdir ~job ~spawn () in
-    let t = Unix.gettimeofday () -. t0 in
-    rm_rf workdir;
-    (label, workers, fault_rate, t, report)
-  in
-  let runs =
-    [
-      dist ~label:"workers2" ~workers:2 ~fault_rate:0.;
-      dist ~label:"workers4" ~workers:4 ~fault_rate:0.;
-      dist ~label:"workers4-kills" ~workers:4 ~fault_rate:0.05;
-    ]
-  in
-  Format.printf "  %-16s %9s %9s %12s  %s@." "mode" "wall (s)" "faults"
-    "reassigned" "report digest";
-  Format.printf "  %-16s %9.2f %9s %12s  %s@." "in-process" t_inproc "-" "-"
-    golden_digest;
-  let rows =
-    Printf.sprintf "in-process,1,0,%.4f,0,%s" t_inproc golden_digest
-    :: List.map
-         (fun (label, workers, fault_rate, t, (report : Search.report)) ->
-           let digest = Report.report_digest report in
-           let retried = report.Search.coverage.Search.shard_retry_attempts in
-           Format.printf "  %-16s %9.2f %9.2f %12d  %s%s@." label t fault_rate
-             retried digest
-             (if digest = golden_digest then "" else "  << MISMATCH");
-           Printf.sprintf "%s,%d,%.2f,%.4f,%d,%s" label workers fault_rate t
-             retried digest)
-         runs
-  in
-  let all_equal =
-    List.for_all
-      (fun (_, _, _, _, (r : Search.report)) ->
-        Report.report_digest r = golden_digest)
-      runs
-  in
-  Format.printf
-    "@.  digests identical across {in-process, 2 workers, 4 workers, 4 \
-     workers with kills}: %b@."
-    all_equal;
-  let saved = !csv_dir in
-  if saved = None then begin
-    (try Unix.mkdir "bench" 0o755
-     with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-    csv_dir := Some (Filename.concat "bench" "figures")
-  end;
-  write_csv "dist.csv" "mode,workers,fault_rate,wall_s,reassignments,digest"
-    rows;
-  csv_dir := saved;
-  if not all_equal then begin
-    Format.eprintf "dist: a distributed run diverged from the golden digest@.";
-    exit 1
-  end
-
-(* --- E17: serving compiled filters — line rate vs per-message re-analysis ---- *)
-
-(* The deployment story of the paper's output: the extracted [not PC] is only
-   useful if a server front end can check it on every incoming message. E17
-   measures the compiled decision-DAG filter against the naive alternative —
-   re-interpret the message concretely ([Symvm.Concrete]) and, when the
-   server accepts it, re-run the solver on the accepting state's Trojan
-   query — and asserts the filter's verdicts agree with the naive path on a
-   sampled subset. *)
+(* --- E19: telemetry cost under serving load ----------------------------------------------------- *)
 
 module Filter = Achilles_filter.Filter
 module Daemon = Achilles_filter.Daemon
 
-let experiment_serve () =
-  banner "E17: compiled-filter serving rate";
-  let analysis, _ = Lazy.force fsp_analysis in
-  let report = analysis.Achilles.report in
-  let filter, compile_s =
-    fresh_measurement (fun () ->
-        Filter.compile ~target:"fsp" ~layout:Fsp_model.layout ~report ())
-  in
-  Format.printf "  compiled in %.3fs: %a@." compile_s Filter.pp_summary filter;
-  let size = Filter.message_size filter in
-  let witnesses =
-    List.filter_map
-      (fun (t : Search.trojan) ->
-        if t.Search.confirmed then
-          Some (Array.map Bv.to_int t.Search.witness)
-        else None)
-      report.Search.trojans
-    |> Array.of_list
-  in
-  assert (Array.length witnesses > 0);
-  (* workload: 1/3 exact witnesses, 1/3 witness mutants (which keep enough
-     structure to reach accepting states), 1/3 uniform noise *)
-  let rng = Random.State.make [| 0x5e17 |] in
-  let workload n =
-    Array.init n (fun i ->
-        let pick () =
-          Array.copy witnesses.(Random.State.int rng (Array.length witnesses))
-        in
-        match i mod 3 with
-        | 0 -> pick ()
-        | 1 ->
-            let m = pick () in
-            for _ = 1 to 1 + Random.State.int rng 3 do
-              m.(Random.State.int rng size) <- Random.State.int rng 256
-            done;
-            m
-        | _ -> Array.init size (fun _ -> Random.State.int rng 256))
-  in
-  (* the naive path: concrete server execution, then the solver on the
-     surviving messages' Trojan queries — same decision, per message *)
-  let queries = Search.trojan_queries report in
-  let baseline_verdict m =
-    let outcome =
-      Concrete.run
-        ~incoming:[ Array.map (fun b -> Bv.of_int ~width:8 b) m ]
-        Fsp_model.server
-    in
-    if not (Concrete.accepted outcome) then Filter.Accept
-    else
-      let rec scan = function
-        | [] -> Filter.Accept
-        | ((sp : Predicate.server_path), query) :: rest -> (
-            match query with
-            | None -> scan rest
-            | Some terms ->
-                let byte_of = Hashtbl.create 32 in
-                Array.iteri
-                  (fun i (v : Term.var) ->
-                    Hashtbl.replace byte_of v.Term.id i)
-                  sp.Predicate.msg_vars;
-                let model =
-                  Model.of_list
-                    (Array.to_list
-                       (Array.mapi
-                          (fun i v -> (v, Model.Vbv (Bv.of_int ~width:8 m.(i))))
-                          sp.Predicate.msg_vars))
-                in
-                let pure, auxed =
-                  List.partition
-                    (fun t ->
-                      List.for_all
-                        (fun id -> Hashtbl.mem byte_of id)
-                        (Term.var_ids t))
-                    terms
-                in
-                if not (List.for_all (Model.eval_bool model) pure) then
-                  scan rest
-                else if auxed = [] then
-                  Filter.Trojan_suspect sp.Predicate.sp_state_id
-                else
-                  let bind (v : Term.var) =
-                    match Hashtbl.find_opt byte_of v.Term.id with
-                    | Some i ->
-                        Some (Term.const (Bv.of_int ~width:8 m.(i)))
-                    | None -> None
-                  in
-                  (match Solver.check (List.map (Term.subst bind) auxed) with
-                  | Solver.Sat _ ->
-                      Filter.Trojan_suspect sp.Predicate.sp_state_id
-                  | Solver.Unsat -> scan rest
-                  | Solver.Unknown -> Filter.Unknown_state))
-      in
-      scan queries
-  in
-  let n_filter = if !quick then 50_000 else 200_000 in
-  let n_baseline = if !quick then 200 else 600 in
-  let filter_msgs =
-    Array.map
-      (fun m -> Bytes.init size (fun i -> Char.chr m.(i)))
-      (workload n_filter)
-  in
-  let baseline_msgs = workload n_baseline in
-  let ev = Filter.evaluator filter in
-  let (), filter_s =
-    fresh_measurement (fun () ->
-        Array.iter (fun b -> ignore (Filter.verdict_bytes ev b)) filter_msgs)
-  in
-  let baseline_results, baseline_s =
-    fresh_measurement (fun () -> Array.map baseline_verdict baseline_msgs)
-  in
-  (* agreement on the sampled subset: compilation changed no verdict *)
-  let mismatches = ref 0 in
-  Array.iteri
-    (fun i m ->
-      let bytes = Bytes.init size (fun j -> Char.chr m.(j)) in
-      if Filter.verdict_bytes ev bytes <> baseline_results.(i) then
-        incr mismatches)
-    baseline_msgs;
-  let filter_rate = float_of_int n_filter /. filter_s in
-  let baseline_rate = float_of_int n_baseline /. baseline_s in
-  let speedup = filter_rate /. baseline_rate in
-  Format.printf "  filter:    %d messages in %.3fs = %s msgs/s@." n_filter
-    filter_s
-    (Printf.sprintf "%.0f" filter_rate);
-  Format.printf "  baseline:  %d messages in %.3fs = %s msgs/s@." n_baseline
-    baseline_s
-    (Printf.sprintf "%.0f" baseline_rate);
-  Format.printf "  speedup:   %.0fx; %d/%d verdicts disagree@." speedup
-    !mismatches n_baseline;
-  write_csv "serve.csv" "mode,messages,seconds,msgs_per_sec,speedup_vs_baseline"
-    [
-      Printf.sprintf "filter,%d,%.4f,%.0f,%.1f" n_filter filter_s filter_rate
-        speedup;
-      Printf.sprintf "baseline,%d,%.4f,%.0f,1.0" n_baseline baseline_s
-        baseline_rate;
-    ];
-  (let module J = Achilles_obs.Obs.Json in
-   write_bench_json "BENCH_E17.json"
-     [
-       ("experiment", J.Str "serve");
-       ("filter_messages", J.Num (float_of_int n_filter));
-       ("filter_seconds", J.Num filter_s);
-       ("filter_msgs_per_sec", J.Num filter_rate);
-       ("baseline_messages", J.Num (float_of_int n_baseline));
-       ("baseline_seconds", J.Num baseline_s);
-       ("baseline_msgs_per_sec", J.Num baseline_rate);
-       ("speedup_vs_baseline", J.Num speedup);
-       ("mismatches", J.Num (float_of_int !mismatches));
-     ]);
-  if !mismatches > 0 then begin
-    Format.eprintf "serve: filter and baseline verdicts diverged@.";
-    exit 1
-  end;
-  if speedup < 10. then begin
-    Format.eprintf "serve: expected >= 10x over the naive baseline, got %.1fx@."
-      speedup;
-    exit 1
-  end
-
-(* --- E19: telemetry cost under serving load ----------------------------------------------------- *)
-
-(* The daemon from E17, but as the real select loop over a Unix socket: one
-   daemon without the metrics endpoint and one with it, scraped over 20 times
-   a second from the client domain, each driven for fixed-length passes.
+(* The compiled FSP filter served by the real select loop over a Unix socket:
+   one daemon without the metrics endpoint and one with it, scraped over 20
+   times a second from the client domain, each driven for fixed-length passes.
    Telemetry must be close to free — its entire point is to be left on in
    production — and the three views of each daemon's counts (Prometheus
    scrape, STATS wire reply, the record [Daemon.run] returns) must agree
@@ -1454,7 +811,7 @@ let experiment_telemetry () =
     |> Array.of_list
   in
   assert (Array.length witnesses > 0);
-  (* E17's workload shape: witnesses, near-miss mutants, uniform noise *)
+  (* serve-mix's workload shape: witnesses, near-miss mutants, uniform noise *)
   let rng = Random.State.make [| 0x5e19 |] in
   let n = if !quick then 20_000 else 60_000 in
   let msgs =
@@ -1800,39 +1157,32 @@ let experiments =
     ("impact-fsp", experiment_impact_fsp);
     ("impact-pbft", experiment_impact_pbft);
     ("local-state", experiment_local_state);
-    ("scaling", experiment_scaling);
-    ("robustness", experiment_robustness);
-    ("profile", experiment_profile);
     ("slice", experiment_slice);
-    ("dist", experiment_dist);
-    ("serve", experiment_serve);
     ("telemetry", experiment_telemetry);
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse selected skip_bechamel = function
-    | [] -> (selected, skip_bechamel)
+  let rec parse selected = function
+    | [] -> selected
     | "--quick" :: rest ->
         quick := true;
-        parse selected skip_bechamel rest
-    | "--skip-bechamel" :: rest -> parse selected true rest
+        parse selected rest
     | "--csv" :: dir :: rest ->
         csv_dir := Some dir;
-        parse selected skip_bechamel rest
+        parse selected rest
     | "--list" :: _ ->
         List.iter (fun (name, _) -> print_endline name) experiments;
         exit 0
-    | "--experiment" :: name :: rest -> parse (name :: selected) true rest
-    | "--bechamel" :: rest -> parse selected false rest
+    | "--experiment" :: name :: rest -> parse (name :: selected) rest
     | arg :: _ ->
         Format.eprintf
           "unknown argument %s (try --list, --experiment NAME, --quick, \
-           --csv DIR, --skip-bechamel)@."
+           --csv DIR)@."
           arg;
         exit 2
   in
-  let selected, skip_bechamel = parse [] false args in
+  let selected = parse [] args in
   let to_run =
     match selected with
     | [] -> experiments
@@ -1851,5 +1201,4 @@ let () =
      \"Finding Trojan Message Vulnerabilities in Distributed Systems\"@.\
      (ASPLOS 2014). See EXPERIMENTS.md for the paper-vs-measured record.@.";
   List.iter (fun (_, f) -> f ()) to_run;
-  if not skip_bechamel then bechamel_benchmarks ();
   Format.printf "@.done.@."

@@ -206,17 +206,26 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
       ~help:"Per-verdict latency (log2-microsecond buckets)"
       [ ([], hist, sum) ];
     Buffer.add_string buf (Obs.Prometheus.of_snapshot (Obs.aggregate ()));
-    Buffer.contents buf
+    buf
   in
+  (* Header and body in one [Bytes] for one write; the blit is the body's
+     only copy after rendering. *)
   let http_response () =
     let body = exposition () in
-    Printf.sprintf
-      "HTTP/1.0 200 OK\r\n\
-       Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-       Content-Length: %d\r\n\
-       \r\n\
-       %s"
-      (String.length body) body
+    let n = Buffer.length body in
+    let header =
+      Printf.sprintf
+        "HTTP/1.0 200 OK\r\n\
+         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+         Content-Length: %d\r\n\
+         \r\n"
+        n
+    in
+    let h = String.length header in
+    let reply = Bytes.create (h + n) in
+    Bytes.blit_string header 0 reply 0 h;
+    Buffer.blit body 0 reply h n;
+    reply
   in
   let scratch = Bytes.create 4096 in
   let out = { obuf = Bytes.create 4096; olen = 0 } in
@@ -306,17 +315,20 @@ let run ?(max_frame = 1 lsl 20) ?metrics ~filter ~address ~stop () =
     mconns := List.filter (fun mc' -> mc' != mc) !mconns
   in
   let answer_mconn mc =
-    (let reply = Bytes.of_string (http_response ()) in
+    (let reply = http_response () in
      try write_all mc.m_fd reply (Bytes.length reply)
      with Unix.Unix_error _ -> ());
     close_mconn mc
   in
   let has_request_end buf =
-    let s = Buffer.contents buf in
-    let n = String.length s in
+    let n = Buffer.length buf in
     let rec go i =
       if i + 3 >= n then false
-      else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
+      else if
+        Buffer.nth buf i = '\r'
+        && Buffer.nth buf (i + 1) = '\n'
+        && Buffer.nth buf (i + 2) = '\r'
+        && Buffer.nth buf (i + 3) = '\n'
       then true
       else go (i + 1)
     in

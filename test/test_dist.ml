@@ -725,8 +725,9 @@ let digest_of_output content =
     (String.split_on_char '\n' content)
 
 (* Single-process and [--workers 2] runs share one analysis front half, so
-   their digests agree: [rw], [gossip] (a custom client interpreter) and
-   [pbft] (local-state over-approximation on the server). *)
+   their digests agree: [rw], [gossip] (a custom client interpreter),
+   [pbft] (local-state over-approximation on the server) and [fsp] (eight
+   clients, an analysis mask and witness classes). *)
 let test_real_worker_processes () =
   match cli_binary () with
   | None -> print_endline "achilles_cli.exe not built here; skipping"
@@ -760,7 +761,7 @@ let test_real_worker_processes () =
                ^ ": real worker processes reproduce the single-process digest")
                 d1 d2
           | _ -> Alcotest.failf "%s: no report digest in CLI output" target)
-        [ "rw"; "gossip"; "pbft" ]
+        [ "rw"; "gossip"; "pbft"; "fsp" ]
 
 (* A damaged manifest is refused before anything in it is trusted. The run
    id sits verbatim in the manifest bytes; one changed hex digit there

@@ -341,6 +341,46 @@ let test_allocation_free () =
   if words > 2. then
     Alcotest.failf "%.2f minor words per verdict (at most 2 allowed)" words
 
+(* The filter against the per-message work it replaces: run the concrete
+   server, and if it accepts, decide the Trojan queries with the solver
+   oracle. Both give the same verdict on every reference message, and the
+   filter judges at least 10x as many messages per second. *)
+let test_faster_than_reanalysis () =
+  let _, report, filter = force "fsp" in
+  let ev = Filter.evaluator filter in
+  let msgs = e17_mix ~seed:0x5e17 30_000 in
+  let reference = Array.sub msgs 0 300 in
+  let reanalyze b =
+    let bytes = Array.init (Bytes.length b) (fun i -> Char.code (Bytes.get b i)) in
+    let outcome =
+      Concrete.run
+        ~incoming:[ Array.map (fun v -> Bv.of_int ~width:8 v) bytes ]
+        Fsp_model.server
+    in
+    if Concrete.accepted outcome then oracle report bytes else Filter.Accept
+  in
+  let timed f xs =
+    let t0 = Unix.gettimeofday () in
+    let verdicts = Array.map f xs in
+    (verdicts, float_of_int (Array.length xs) /. (Unix.gettimeofday () -. t0))
+  in
+  Solver.clear_cache ();
+  let expected, reanalysis_rate = timed reanalyze reference in
+  let _, filter_rate = timed (Filter.verdict_bytes ev) msgs in
+  Array.iteri
+    (fun i b ->
+      let got = Filter.verdict_bytes ev b in
+      if got <> expected.(i) then
+        Alcotest.failf "message %d: filter says %s, re-analysis says %s" i
+          (pp_verdict got) (pp_verdict expected.(i)))
+    reference;
+  let speedup = filter_rate /. reanalysis_rate in
+  Printf.printf "filter %.0f msgs/s, re-analysis %.0f msgs/s: %.0fx\n"
+    filter_rate reanalysis_rate speedup;
+  if speedup < 10. then
+    Alcotest.failf "filter %.0f msgs/s is %.1fx re-analysis %.0f msgs/s (at least 10x)"
+      filter_rate speedup reanalysis_rate
+
 (* Random well-sorted op programs, serialized as ACHFLT01 images and loaded
    through [Filter.of_string], against a three-valued reference over [Bv]. *)
 type kop =
@@ -1499,6 +1539,8 @@ let () =
           Alcotest.test_case "allocation-free verdicts" `Quick
             test_allocation_free;
           Alcotest.test_case "kernel coverage" `Quick test_kernel_coverage;
+          Alcotest.test_case "10x faster than re-analysis" `Quick
+            test_faster_than_reanalysis;
         ] );
       qsuite "kernel" [ kernel_differential ];
     ]

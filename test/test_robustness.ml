@@ -577,6 +577,26 @@ let test_fsp_under_faults () =
     (List.length (distinct_trojan_states faulty) >= List.length clean_states);
   Alcotest.(check bool) "all clean-run trojans are confirmed" true
     (List.for_all (fun (t : Search.trojan) -> t.Search.confirmed) clean.Search.trojans);
+  (* a budget of zero conflicts with one escalation: most queries answer
+     Unknown, and the search must keep every state alive rather than drop
+     one *)
+  let starved =
+    run_case
+      ~config:
+        {
+          (fsp_config ~domains:4) with
+          Search.solver_budget =
+            Some (Solver.budget ~conflicts:0 ~escalations:1 ());
+        }
+      ~base client server_fsp
+  in
+  Alcotest.(check bool) "starved run terminated with complete coverage" true
+    (Search.coverage_complete starved.Search.coverage);
+  (* accept labels, not state ids: FSP's are unique per accepting state *)
+  let clean_labels = trojan_labels clean in
+  Alcotest.(check (list string)) "starved run keeps every clean trojan state"
+    clean_labels
+    (List.filter (fun l -> List.mem l (trojan_labels starved)) clean_labels);
   (* every confirmed witness of the degraded run still fire-drills cleanly;
      unconfirmed ones are skipped, not misreported as rejections *)
   let confirmation =
